@@ -81,9 +81,41 @@ def load_spec(path: str) -> dict:
     if not p.exists():
         raise ValidationError(f"spec file {path} does not exist")
     try:
-        return json.loads(p.read_text())
+        spec = json.loads(p.read_text())
     except json.JSONDecodeError as err:
         raise ValidationError(f"spec file is not valid JSON: {err}") from None
+    if not isinstance(spec, dict):
+        raise ValidationError(f"spec must be a JSON object, not {type(spec).__name__}")
+    return spec
+
+
+def _check_sizes(spec: dict, command: str) -> None:
+    """Matrix dimensions are positive integers, and every Gibbs chain the
+    command runs has sweeps > burn_in >= 0 once defaults are filled in."""
+    Ns = spec.get("Ns", [1])
+    if (not isinstance(Ns, list) or not Ns
+            or any(isinstance(N, bool) or not isinstance(N, int) or N < 1 for N in Ns)):
+        raise ValidationError(f"'Ns' must be a non-empty list of positive integers, got {Ns!r}")
+    g = spec.get("gibbs", {})
+    if not isinstance(g, dict):
+        raise ValidationError("'gibbs' must be a JSON object")
+    runs_chains = command in ("gibbs", "relation-check") or (
+        command == "pressure" and g.get("method", "sample") != "sample"
+    )
+    if not runs_chains:
+        return
+    if command == "relation-check":
+        defaults = pressure_mod.RELATION_CHAIN_DEFAULTS
+    else:
+        defaults = {"sweeps": gibbs_mod.GibbsConfig.sweeps,
+                    "burn_in": gibbs_mod.GibbsConfig.burn_in}
+    sweeps = g.get("sweeps", defaults["sweeps"])
+    burn_in = g.get("burn_in", defaults["burn_in"])
+    if not (isinstance(sweeps, int) and isinstance(burn_in, int) and sweeps > burn_in >= 0):
+        raise ValidationError(
+            f"gibbs needs integers sweeps > burn_in >= 0, got sweeps={sweeps!r}, "
+            f"burn_in={burn_in!r}"
+        )
 
 
 def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
@@ -96,14 +128,17 @@ def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
         raise ValidationError(f"polynomial {key!r} rejected: {err}")
 
 
-def verify_spec(spec: dict, base: Path) -> dict:
+def verify_spec(spec: dict, base: Path, command: str) -> dict:
     """Dry-run validation: grammar, layout bounds, self-adjointness,
-    marginal realizability.  No computation."""
+    marginal realizability, dimensions and chain lengths.  No computation."""
     layout = build_layout(spec)
+    _check_sizes(spec, command)
     report = {"layout": {"n": layout.n, "r": list(layout.r), "R": layout.R}, "checks": []}
     h = parse_h(spec, layout)
     if not h.is_selfadjoint():
-        bad = next(iter(h.terms))
+        adj = h.adjoint()
+        # h = h* fails at some word of h whose coefficient in h* differs
+        bad = next(w for w, c in h.terms.items() if adj.terms.get(w) != c)
         raise ValidationError(
             f"h is not self-adjoint; offending word {format_poly(NCPoly.monomial(layout, list(bad), 1))}"
         )
@@ -467,14 +502,14 @@ def main(argv=None) -> int:
             "tolerances": TOLERANCES,
         }
         if args.verify:
-            report = verify_spec(spec, base)
+            report = verify_spec(spec, base, args.command)
             report["config_hash"] = chash
             write_outputs(Path(args.out), report, {}, manifest)
             print(f"ok: spec valid (config {chash[:12]})")
             return EXIT_OK
         layout = build_layout(spec)
         # verification always precedes computation
-        verify_spec(spec, base)
+        verify_spec(spec, base, args.command)
         report, traces, code = COMMANDS[args.command](spec, layout, base, seed)
         report["config_hash"] = chash
         report["tolerances"] = TOLERANCES

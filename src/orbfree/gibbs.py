@@ -124,13 +124,7 @@ def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple
     for i in range(1, lay.n + 1):
         for j in range(1, lay.r[i - 1] + 1):
             sa[(i, j)] = spectral_reflect(config.R * gue(config.N, rng), config.R)
-    out = MatrixTuple.__new__(MatrixTuple)
-    out.layout = lay
-    out.N = config.N
-    out.sa = sa
-    out.unitaries = {}
-    out.check_norm = False
-    return out
+    return MatrixTuple._unchecked(lay, config.N, sa, {}, check_norm=False)
 
 
 def step(chain: GibbsChain) -> GibbsChain:
@@ -161,12 +155,7 @@ def step(chain: GibbsChain) -> GibbsChain:
                 cand = spectral_reflect(a + chain.eps * gue(config.N, rng), config.R)
                 sa = dict(chain.state.sa)
                 sa[(i, j)] = cand
-                proposal = MatrixTuple.__new__(MatrixTuple)
-                proposal.layout = lay
-                proposal.N = config.N
-                proposal.sa = sa
-                proposal.unitaries = {}
-                proposal.check_norm = False
+                proposal = MatrixTuple._unchecked(lay, config.N, sa, {}, check_norm=False)
                 e_new = energy(proposal, config)
                 chain.proposed += 1
                 if e_new <= e_cur or rng.random() < math.exp(e_cur - e_new):

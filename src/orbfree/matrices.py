@@ -43,7 +43,9 @@ class MatrixTuple:
 
     ``sa`` maps (family, index) to a Hermitian matrix filling the x or z
     slots; ``unitaries`` maps family to a unitary filling the u slot.
-    Matrices are validated on construction and must not be mutated.
+    Matrices are validated on construction and a tuple is never mutated
+    afterwards, which makes ``_traces``, the memo of normalized word traces
+    filled by ``trace_word``, valid for the tuple's whole life.
     """
 
     layout: FamilyLayout
@@ -51,6 +53,8 @@ class MatrixTuple:
     sa: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     unitaries: dict[int, np.ndarray] = field(default_factory=dict)
     check_norm: bool = True
+    _traces: dict[Word, complex] = field(default_factory=dict, init=False, repr=False,
+                                         compare=False)
 
     def __post_init__(self):
         for (i, j), a in self.sa.items():
@@ -100,21 +104,31 @@ class MatrixTuple:
         for (i, j), a in self.sa.items():
             v = unitaries[i - 1]
             sa[(i, j)] = v @ a @ v.conj().T
-        out = MatrixTuple.__new__(MatrixTuple)
-        out.layout = self.layout
-        out.N = self.N
-        out.sa = sa
-        out.unitaries = dict(self.unitaries)
-        out.check_norm = self.check_norm
-        return out
+        return MatrixTuple._unchecked(self.layout, self.N, sa, dict(self.unitaries),
+                                      self.check_norm)
 
     def with_unitaries(self, unitaries: Sequence[np.ndarray]) -> "MatrixTuple":
+        return MatrixTuple._unchecked(self.layout, self.N, dict(self.sa),
+                                      {i + 1: v for i, v in enumerate(unitaries)},
+                                      self.check_norm)
+
+    @staticmethod
+    def _unchecked(
+        layout: FamilyLayout,
+        N: int,
+        sa: dict[tuple[int, int], np.ndarray],
+        unitaries: dict[int, np.ndarray],
+        check_norm: bool,
+    ) -> "MatrixTuple":
+        """Build without validation, from matrices the caller has already
+        made Hermitian (and unitary) at dimension N; the memo starts empty."""
         out = MatrixTuple.__new__(MatrixTuple)
-        out.layout = self.layout
-        out.N = self.N
-        out.sa = dict(self.sa)
-        out.unitaries = {i + 1: v for i, v in enumerate(unitaries)}
-        out.check_norm = self.check_norm
+        out.layout = layout
+        out.N = N
+        out.sa = sa
+        out.unitaries = unitaries
+        out.check_norm = check_norm
+        out._traces = {}
         return out
 
     def lookup(self, letter) -> np.ndarray:
@@ -372,13 +386,20 @@ def evaluate_word(w: Word, tup: MatrixTuple) -> np.ndarray:
 
 
 def trace_word(w: Word, tup: MatrixTuple) -> complex:
+    """Normalized trace tr_N of the word on the tuple, computed once per
+    (tuple, word) and then read from the tuple's memo."""
     if not w:
         return 1.0 + 0.0j
-    if len(w) == 1:
-        return complex(np.trace(tup.lookup(w[0]))) / tup.N
-    head = evaluate_word(w[:-1], tup)
-    tail = tup.lookup(w[-1])
-    return complex(np.sum(head.T * tail)) / tup.N
+    v = tup._traces.get(w)
+    if v is None:
+        if len(w) == 1:
+            v = complex(np.trace(tup.lookup(w[0]))) / tup.N
+        else:
+            head = evaluate_word(w[:-1], tup)
+            tail = tup.lookup(w[-1])
+            v = complex(np.sum(head.T * tail)) / tup.N
+        tup._traces[w] = v
+    return v
 
 
 def evaluate(p: NCPoly, tup: MatrixTuple) -> np.ndarray:
@@ -390,17 +411,18 @@ def evaluate(p: NCPoly, tup: MatrixTuple) -> np.ndarray:
 
 
 def trace_evaluate(p: NCPoly, tup: MatrixTuple) -> complex:
-    return sum((complex(c) * trace_word(w, tup) for w, c in p.terms.items()), 0.0 + 0.0j)
+    return _trace_evaluate_many(p, (tup,))[0]
+
+
+def _trace_evaluate_many(p: NCPoly, tuples: Sequence[MatrixTuple]) -> list[complex]:
+    """tr_N p on each tuple; each exact coefficient is converted to complex
+    once, and each tuple's sum runs over the terms in order from 0j."""
+    terms = [(w, complex(c)) for w, c in p.terms.items()]
+    return [sum((c * trace_word(w, tup) for w, c in terms), 0.0 + 0.0j) for tup in tuples]
 
 
 def double_trace_evaluate(t: TensorNCPoly, tup: MatrixTuple) -> complex:
     """(tr x tr) of a tensor polynomial: sum of coefficient times product
     of normalized traces of the two legs."""
-    cache: dict[Word, complex] = {}
-
-    def tr(w: Word) -> complex:
-        if w not in cache:
-            cache[w] = trace_word(w, tup)
-        return cache[w]
-
-    return sum((complex(c) * tr(a) * tr(b) for (a, b), c in t.terms.items()), 0.0 + 0.0j)
+    return sum((complex(c) * trace_word(a, tup) * trace_word(b, tup)
+                for (a, b), c in t.terms.items()), 0.0 + 0.0j)

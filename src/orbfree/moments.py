@@ -225,12 +225,11 @@ def microstate_check(tup: MatrixTuple, target: MomentTable, m: int, delta: float
     if target.m < m:
         raise ValueError("target degree insufficient")
     letters = _alphabet_letters(tup.layout, target.alphabet)
-    cache: dict[Word, complex] = {}
     for w in _enumerate_words(letters, m):
         key, flag = canonical_word(w)
-        if key not in cache:
-            cache[key] = trace_word(key, tup)
-        got = cache[key].conjugate() if flag else cache[key]
+        got = trace_word(key, tup)
+        if flag:
+            got = got.conjugate()
         if abs(got - target.get(w)) >= delta:
             return False
     return True

@@ -17,6 +17,7 @@ from . import gibbs
 from .matrices import (
     MatrixTuple,
     SpectralMeasure,
+    _trace_evaluate_many,
     double_trace_evaluate,
     haar_unitary,
     quantile_microstate,
@@ -97,9 +98,9 @@ def sample_conjugations(
     return out
 
 
-def _sample_energy(h: NCPoly, sample: MatrixTuple) -> float:
-    # x letters evaluate as u z u' because the sample carries unitaries
-    return trace_evaluate(h, sample).real
+def _exponents(values: Sequence[complex], N: int) -> np.ndarray:
+    """-N^2 Re of each sample's energy, the terms of the log-mean-exp."""
+    return np.array([-(N**2) * v.real for v in values])
 
 
 def _log_mean_exp(vals: np.ndarray) -> float:
@@ -107,15 +108,22 @@ def _log_mean_exp(vals: np.ndarray) -> float:
     return float(shift + np.log(np.mean(np.exp(vals - shift))))
 
 
-def _sample_pressure(h: NCPoly, samples: Sequence[MatrixTuple], N: int) -> tuple[float, float]:
-    """(1/N^2) log of the sample average of exp(-N^2 tr h), with a
-    delta-method standard error."""
-    if h.is_zero:
-        return 0.0, 0.0
-    e = np.array([-(N**2) * _sample_energy(h, s) for s in samples])
+def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
+    """log of the sample average of exp(e), with a delta-method standard
+    error."""
     lme = _log_mean_exp(e)
     w = np.exp(e - lme)  # mean 1 by construction
     se = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else float("inf")
+    return lme, se
+
+
+def _sample_pressure(h: NCPoly, samples: Sequence[MatrixTuple], N: int) -> tuple[float, float]:
+    """(1/N^2) log of the sample average of exp(-N^2 tr h), with a
+    delta-method standard error.  x letters evaluate as u z u' because
+    the samples carry unitaries."""
+    if h.is_zero:
+        return 0.0, 0.0
+    lme, se = _log_mean_exp_se(_exponents(_trace_evaluate_many(h, samples), N))
     return lme / N**2, se / N**2
 
 
@@ -237,8 +245,8 @@ def finite_N_property_suite(
     # empirical measure: project h1 to family 1, h2 to family 2
     g1 = _project_families(h1, {1})
     g2 = _project_families(h2, set(range(2, microstates.layout.n + 1)))
-    e1 = np.array([-(N**2) * _sample_energy(g1, s) for s in samples])
-    e2 = np.array([-(N**2) * _sample_energy(g2, s) for s in samples])
+    e1 = _exponents(_trace_evaluate_many(g1, samples), N)
+    e2 = _exponents(_trace_evaluate_many(g2, samples), N)
     # product measure over independent V-groups: all (s, t) pairs
     joint = _log_mean_exp((e1[:, None] + e2[None, :]).ravel()) / N**2
     split = _log_mean_exp(e1) / N**2 + _log_mean_exp(e2) / N**2
@@ -442,12 +450,9 @@ def double_pressure(
     for N, xi in microstates_per_N:
         rng = np.random.default_rng(seed + N)
         samples = sample_conjugations(xi, M, rng)
-        e = np.empty(M)
-        for k, s in enumerate(samples):
-            e[k] = -(N**2) * double_trace_evaluate(h2, s).real
-        lme = _log_mean_exp(e)
-        w = np.exp(e - lme)
-        se = float(w.std(ddof=1) / math.sqrt(M)) if M > 1 else float("inf")
+        lme, se = _log_mean_exp_se(
+            _exponents([double_trace_evaluate(h2, s) for s in samples], N)
+        )
         rows.append((N, lme, N**2 * (se / N**2)))
     normalized = [logz / N**2 for N, logz, _ in rows]
     extrapolated, r2, resid = _affine_fit([1.0 / N for N, _, _ in rows], normalized)
@@ -475,6 +480,10 @@ def penalty_poly(target: MomentTable, m: int, beta: float, delta: float) -> Tens
 # pressure relation between matrix and orbital ensembles
 
 
+# chain settings pressure_relation_check uses where the caller gives none
+RELATION_CHAIN_DEFAULTS = {"sweeps": 600, "burn_in": 150, "thinning": 5}
+
+
 def pressure_relation_check(
     h: NCPoly,
     R: float,
@@ -491,10 +500,7 @@ def pressure_relation_check(
     marginal spectra, which also feed the orbital side's microstates, so
     the reported margin is matrix_rel_logZ - orbital_pressure.
     """
-    settings = dict(gibbs_settings or {})
-    settings.setdefault("sweeps", 600)
-    settings.setdefault("burn_in", 150)
-    settings.setdefault("thinning", 5)
+    settings = {**RELATION_CHAIN_DEFAULTS, **(gibbs_settings or {})}
     samples = settings.pop("samples", 200)
     layout = h.layout
     if any(r != 1 for r in layout.r):

@@ -53,6 +53,11 @@ class TestVerify:
         code, _ = run(tmp_path, "pressure", spec, "out", "--verify")
         assert code == 2
         assert "self-adjoint" in capsys.readouterr().err
+        # the self-adjoint term x[1,1] comes first but is not the offender
+        spec = write_spec(tmp_path, h="x[1,1] + x[1,1]*x[2,1]")
+        code, _ = run(tmp_path, "pressure", spec, "out", "--verify")
+        assert code == 2
+        assert capsys.readouterr().err.rstrip().endswith("offending word x[1,1]*x[2,1]")
 
     def test_index_out_of_range_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, h="x[3,1]^2")
@@ -67,6 +72,23 @@ class TestVerify:
     def test_missing_spec_file_exits_2(self, tmp_path):
         code, _ = run(tmp_path, "pressure", tmp_path / "absent.json")
         assert code == 2
+
+    @pytest.mark.parametrize("command, spec", [
+        ("pressure", {"Ns": [0]}),
+        ("pressure", {"Ns": [-3]}),
+        ("pressure", [1, 2]),
+        ("gibbs", {"gibbs": {"sweeps": 5, "burn_in": 10}}),
+        ("relation-check", {"h": "0.1*x[1,1]^2", "gibbs": {"sweeps": 100}}),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_invalid_sizes_exit_2(self, tmp_path, capsys, command, spec, flags):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec if isinstance(spec, list) else {**BASE_SPEC, **spec}))
+        code, _ = run(tmp_path, command, p, "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert "Traceback" not in err
 
 
 class TestCommands:

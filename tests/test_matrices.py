@@ -4,9 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from orbfree import gibbs
 from orbfree.matrices import (
     MatrixTuple,
     SpectralMeasure,
+    _trace_evaluate_many,
     double_trace_evaluate,
     evaluate,
     gue,
@@ -15,6 +17,7 @@ from orbfree.matrices import (
     spectral_clip,
     spectral_reflect,
     trace_evaluate,
+    trace_word,
 )
 from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, parse
 
@@ -215,3 +218,89 @@ class TestEvaluation:
         assert trace_evaluate(p, conj) == pytest.approx(trace_evaluate(p, tup))
         # and the conjugation acts family by family
         assert np.allclose(conj.sa[(2, 1)], vs[1] @ tup.sa[(2, 1)] @ vs[1].conj().T)
+
+
+class TestTraceMemo:
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        """Counts MatrixTuple.lookup calls: computing a trace from the
+        matrices looks up every letter, reading it from the memo none."""
+        counts = {"n": 0}
+        original = MatrixTuple.lookup
+
+        def counting(self, letter):
+            counts["n"] += 1
+            return original(self, letter)
+
+        monkeypatch.setattr(MatrixTuple, "lookup", counting)
+        return counts
+
+    def test_each_word_traced_once(self, lookups):
+        rng = np.random.default_rng(12)
+        tup = make_tuple(rng, 4)
+        w = parse("x[1,1]*x[2,1]*z[1,2]", LAYOUT)
+        ((word, _),) = w.terms.items()
+        first = trace_word(word, tup)
+        assert lookups["n"] == 3
+        again = trace_word(word, tup)
+        assert lookups["n"] == 3
+        assert again == first
+        # a second polynomial over the same words reads only the memo
+        p = parse("x[1,1]*x[2,1]*z[1,2] - 2*x[1,1]*x[2,1]*z[1,2]", LAYOUT)
+        trace_evaluate(p, tup)
+        assert lookups["n"] == 3
+
+    def test_memo_matches_fresh_tuple(self):
+        rng = np.random.default_rng(13)
+        tup = make_tuple(rng, 5)
+        p = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1] + 0.5*x[1,2]^2 - (0+1i)*u[2]*z[2,1]", LAYOUT)
+        memoized = [trace_evaluate(p, tup) for _ in range(3)]
+        fresh = MatrixTuple(LAYOUT, 5, sa=dict(tup.sa), unitaries=dict(tup.unitaries))
+        assert memoized == [trace_evaluate(p, fresh)] * 3
+        assert all(type(v) is complex for v in memoized)
+
+    def test_batched_equals_single(self):
+        rng = np.random.default_rng(14)
+        tups = [make_tuple(rng, 3) for _ in range(4)]
+        p = parse("0.3*x[1,1]*x[2,1] + 0.3*x[2,1]*x[1,1] + 1/7*x[1,2]", LAYOUT)
+        batched = _trace_evaluate_many(p, tups)
+        fresh = [MatrixTuple(LAYOUT, 3, sa=dict(t.sa), unitaries=dict(t.unitaries))
+                 for t in tups]
+        assert batched == [trace_evaluate(p, t) for t in fresh]
+
+    def test_derived_tuples_start_empty(self):
+        rng = np.random.default_rng(15)
+        tup = make_tuple(rng, 4)
+        trace_evaluate(parse("x[1,1]*x[2,1]", LAYOUT), tup)
+        assert tup._traces
+        vs = [haar_unitary(4, rng) for _ in range(LAYOUT.n)]
+        assert tup.conjugated(vs)._traces == {}
+        assert tup.with_unitaries(vs)._traces == {}
+
+    @pytest.mark.parametrize("kind", ["unitary-orbital", "matrix"])
+    def test_gibbs_proposals_start_empty(self, kind, monkeypatch):
+        lay = FamilyLayout(n=2, r=(1, 1), R=2.0)
+        h = parse("0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,1]^2", lay)
+        if kind == "matrix":
+            cfg = gibbs.GibbsConfig(kind, 3, h, R=2.0, sweeps=6, burn_in=2, thinning=1)
+        else:
+            xi = quantile_microstate(SpectralMeasure.semicircle(2.0), 3)
+            cfg = gibbs.GibbsConfig(kind, 3, h, microstates=MatrixTuple(
+                lay, 3, sa={(1, 1): xi, (2, 1): xi}), sweeps=6, burn_in=2, thinning=1)
+        seen = []
+        original = gibbs.energy
+
+        def recording(state, config, beta=None):
+            if all(state is not s for s in seen):
+                assert state._traces == {}
+                seen.append(state)
+            return original(state, config, beta)
+
+        monkeypatch.setattr(gibbs, "energy", recording)
+        chain = gibbs.run(cfg)
+        assert chain.proposed > 0 and len(seen) > chain.sweep
+        # every memo a chain state carries agrees with a fresh computation
+        for state in seen:
+            fresh = MatrixTuple._unchecked(lay, 3, dict(state.sa), dict(state.unitaries), False)
+            for w, v in state._traces.items():
+                assert trace_word(w, fresh) == v

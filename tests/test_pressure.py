@@ -281,3 +281,82 @@ class TestRelationCheck:
         assert not report["significant_violation"]
         assert len(report["chi"]) == 2
         assert all(np.isfinite(c) for c in report["chi"])
+
+
+class TestGolden:
+    """Small estimates pinned to exact floats, so that a change to the
+    shared-sample evaluation path (trace memo, batched evaluation,
+    log-mean-exp) cannot move a reported number, not even in its last
+    bit.  The values depend on the numpy/LAPACK build that draws the Haar
+    samples; recapture them only for a deliberate change of numbers."""
+
+    H = "0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,1]^2"
+    H2 = "0.1*x[2,1]^2 + 0.05*x[1,1]*x[2,1]*x[1,1]"
+
+    @staticmethod
+    def target():
+        mu = SpectralMeasure.semicircle(2.0)
+        return free_product([table_from_measure(LAYOUT, i, 1, mu, 3) for i in (1, 2)], 3)
+
+    @staticmethod
+    def exact(got, want):
+        assert repr(got) == repr(want)
+
+    def test_pressure_estimate(self):
+        h = parse(self.H, LAYOUT)
+        per_N = [(4, semicircle_tuple(4)), (6, semicircle_tuple(6))]
+        est = pressure_estimate(h, per_N, {"seed": 3, "samples": 25})
+        self.exact(est.per_N, [(4, -0.6204919190926024, 0.45890542867086737),
+                               (6, -1.816630210284293, 0.4414302954366428)])
+        self.exact(est.normalized, [-0.03878074494328765, -0.05046195028567481])
+        self.exact(est.extrapolated, -0.07382436097044913)
+
+    def test_property_suite(self):
+        rep = finite_N_property_suite(parse(self.H, LAYOUT), parse(self.H2, LAYOUT),
+                                      semicircle_tuple(4), M=12, seed=5)
+        self.exact(rep, {'lipschitz': {'lhs': 0.035152491193066404,
+                                       'bound': 2.8,
+                                       'margin': 2.7648475088069335},
+                         'monotone': {'pi_smaller': -0.054675254005897955,
+                                      'pi_larger': -0.12752018609173904,
+                                      'margin': 0.07284493208584109},
+                         'convex': {'pi_mid': -0.08585323386431784,
+                                    'rhs': -0.07225149960243116,
+                                    'margin': 0.013601734261886683},
+                         'additive': {'joint': -0.17676522153339222,
+                                      'split': -0.1767652215333922,
+                                      'margin': 2.7755575615628914e-17},
+                         'max_violation': 2.7755575615628914e-17})
+
+    def test_eta_estimate(self):
+        est = eta_estimate(self.target(), semicircle_tuple(8), basis_degree=2, samples=16,
+                           budget=30, seed=2, mismatch_tol=0.3)
+        self.exact(est.value, -0.0004820183224377994)
+        self.exact(est.minimizer.tolist(), [0.00314645339517092,
+                                            0.0015330620563062782,
+                                            -0.004833234463922586,
+                                            0.0044764626504925215,
+                                            -0.00555625560591565])
+        self.exact(est.trace, [(0, 0.0), (1, 5.204170427930421e-20),
+                               (2, 7.806255641895632e-20), (3, 9.493724212982565e-06),
+                               (4, -5.0801814544218876e-06), (5, 9.493724212982619e-06),
+                               (6, -7.731075877454138e-06), (7, -1.6342091486812186e-05),
+                               (8, -1.8064183860457873e-05), (9, -3.183959394071755e-05),
+                               (10, -2.130317856930574e-05), (11, -2.9817676387454634e-05),
+                               (12, -4.173147189353438e-05), (13, -6.2562366006554e-05),
+                               (14, -5.967845333977183e-05), (15, -6.57259670305678e-05),
+                               (16, -9.037992144994046e-05), (17, -8.840109107937722e-05),
+                               (18, -0.0001033214785891223), (19, -0.00014002816734209412),
+                               (20, -0.00014447058647231977), (21, -0.00020058735064855653),
+                               (22, -0.00017300309267056883), (23, -0.0002143402652661653),
+                               (24, -0.0002900130095943726), (25, -0.00026904144936429775),
+                               (26, -0.00033831461365911066), (27, -0.00046156556954013786),
+                               (28, -0.00041712854896397596), (29, -0.0004820183224377994)])
+
+    def test_double_pressure(self):
+        pen = penalty_poly(self.target(), 2, 0.05, 1.0)
+        per_N = [(4, semicircle_tuple(4)), (6, semicircle_tuple(6))]
+        est = double_pressure(pen, per_N, {"seed": 1, "samples": 15})
+        self.exact(est.per_N, [(4, -0.128314124390143, 0.03930873786075211),
+                               (6, -0.08055658550333586, 0.022739060981721293)])
+        self.exact(est.normalized, [-0.008019632774383938, -0.002237682930648218])
