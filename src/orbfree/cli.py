@@ -22,7 +22,7 @@ from . import sdsolver as sd_mod
 from .matrices import MatrixTuple, SpectralMeasure, quantile_microstate
 from .moments import (
     MomentTable,
-    empirical_orbital_state,
+    empirical_state,
     free_product,
     moment_distance,
     table_from_measure,
@@ -67,13 +67,9 @@ def _load_family(entry, base: Path):
 
 
 def build_layout(spec: dict) -> FamilyLayout:
-    families = spec.get("families")
-    if not families:
-        raise ValidationError("spec needs a non-empty 'families' list")
-    n = len(families)
-    r = tuple(1 for _ in families)
-    R = float(spec.get("R", 2.0))
-    return FamilyLayout(n=n, r=r, R=R)
+    families = spec["families"]
+    return FamilyLayout(n=len(families), r=tuple(1 for _ in families),
+                        R=float(spec.get("R", 2.0)))
 
 
 def load_spec(path: str) -> dict:
@@ -89,16 +85,79 @@ def load_spec(path: str) -> dict:
     return spec
 
 
-def _check_sizes(spec: dict, command: str) -> None:
-    """Matrix dimensions are positive integers, and every Gibbs chain the
-    command runs has sweeps > burn_in >= 0 once defaults are filled in."""
-    Ns = spec.get("Ns", [1])
-    if (not isinstance(Ns, list) or not Ns
-            or any(isinstance(N, bool) or not isinstance(N, int) or N < 1 for N in Ns)):
-        raise ValidationError(f"'Ns' must be a non-empty list of positive integers, got {Ns!r}")
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+_INT = (_is_int, "an integer")
+_POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
+_NUMBER = (_is_number, "a number")
+_POSITIVE_NUMBER = (lambda v: _is_number(v) and v > 0, "a positive number")
+_STRING = (lambda v: isinstance(v, str), "a string")
+
+# (test, description) per spec key; keys absent from a spec take defaults
+SPEC_VALUES = {
+    "Ns": (lambda v: isinstance(v, list) and v and all(_is_int(N) and N >= 1 for N in v),
+           "a non-empty list of positive integers"),
+    "seed": _INT,
+    "R": _POSITIVE_NUMBER,
+    "m": _POSITIVE_INT,
+    "h": _STRING,
+    "h2": _STRING,
+    "basis_degree": _POSITIVE_INT,
+    "conjugations": _POSITIVE_INT,
+}
+# the "gibbs" and "sd" objects are closed: an unknown key is an error
+GIBBS_VALUES = {
+    "kind": (lambda v: v in ("unitary-orbital", "matrix"), "'unitary-orbital' or 'matrix'"),
+    "method": (lambda v: v in ("sample", "thermodynamic", "direct"),
+               "'sample', 'thermodynamic' or 'direct'"),
+    "samples": _POSITIVE_INT,
+    "budget": _POSITIVE_INT,
+    "beta": _NUMBER,
+    "eps": _POSITIVE_NUMBER,
+    "sweeps": _INT,
+    "burn_in": _INT,
+    "thinning": _POSITIVE_INT,
+}
+SD_VALUES = {
+    "D": _POSITIVE_INT,
+    "damping": _NUMBER,
+    "max_iter": _POSITIVE_INT,
+    "tol": _POSITIVE_NUMBER,
+    "picard": (lambda v: isinstance(v, bool), "true or false"),
+}
+
+
+def _check_values(values: dict, rules: dict, where: str, closed: bool) -> None:
+    for key, value in values.items():
+        if key not in rules:
+            if closed:
+                raise ValidationError(f"unknown key {key!r} in {where}")
+            continue
+        test, wanted = rules[key]
+        if not test(value):
+            raise ValidationError(f"{key!r} in {where} must be {wanted}, got {value!r}")
+
+
+def _check_spec(spec: dict, command: str) -> None:
+    """Every value the commands read has the right type and range, matrix
+    dimensions are positive integers, and every Gibbs chain the command
+    runs has sweeps > burn_in >= 0 once defaults are filled in."""
+    families = spec.get("families")
+    if not isinstance(families, list) or not families:
+        raise ValidationError(f"'families' must be a non-empty list, got {families!r}")
+    _check_values(spec, SPEC_VALUES, "the spec", closed=False)
+    for section, rules in (("gibbs", GIBBS_VALUES), ("sd", SD_VALUES)):
+        g = spec.get(section, {})
+        if not isinstance(g, dict):
+            raise ValidationError(f"{section!r} must be a JSON object")
+        _check_values(g, rules, repr(section), closed=True)
     g = spec.get("gibbs", {})
-    if not isinstance(g, dict):
-        raise ValidationError("'gibbs' must be a JSON object")
     runs_chains = command in ("gibbs", "relation-check") or (
         command == "pressure" and g.get("method", "sample") != "sample"
     )
@@ -111,7 +170,7 @@ def _check_sizes(spec: dict, command: str) -> None:
                     "burn_in": gibbs_mod.GibbsConfig.burn_in}
     sweeps = g.get("sweeps", defaults["sweeps"])
     burn_in = g.get("burn_in", defaults["burn_in"])
-    if not (isinstance(sweeps, int) and isinstance(burn_in, int) and sweeps > burn_in >= 0):
+    if not sweeps > burn_in >= 0:
         raise ValidationError(
             f"gibbs needs integers sweeps > burn_in >= 0, got sweeps={sweeps!r}, "
             f"burn_in={burn_in!r}"
@@ -130,9 +189,10 @@ def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
 
 def verify_spec(spec: dict, base: Path, command: str) -> dict:
     """Dry-run validation: grammar, layout bounds, self-adjointness,
-    marginal realizability, dimensions and chain lengths.  No computation."""
+    marginal realizability, value types, dimensions and chain lengths.  No
+    computation."""
+    _check_spec(spec, command)
     layout = build_layout(spec)
-    _check_sizes(spec, command)
     report = {"layout": {"n": layout.n, "r": list(layout.r), "R": layout.R}, "checks": []}
     h = parse_h(spec, layout)
     if not h.is_selfadjoint():
@@ -368,7 +428,7 @@ def cmd_freeness(spec, layout, base, seed):
     dists = []
     for _ in range(conjugations):
         vs = [haar_unitary(N, rng) for _ in range(layout.n)]
-        emp = empirical_orbital_state(vs, xi, m)
+        emp = empirical_state(xi.conjugated(vs), m)
         dists.append(moment_distance(emp, fp, m))
     report = {
         "command": "freeness",
@@ -486,7 +546,9 @@ def main(argv=None) -> int:
     try:
         spec = load_spec(args.spec)
         base = Path(args.spec).resolve().parent
-        seed = args.seed if args.seed is not None else int(spec.get("seed", 0))
+        # verification always precedes computation
+        checks = verify_spec(spec, base, args.command)
+        seed = args.seed if args.seed is not None else spec.get("seed", 0)
         chash = config_hash(spec, seed)
         manifest = {
             "config_hash": chash,
@@ -502,15 +564,11 @@ def main(argv=None) -> int:
             "tolerances": TOLERANCES,
         }
         if args.verify:
-            report = verify_spec(spec, base, args.command)
-            report["config_hash"] = chash
-            write_outputs(Path(args.out), report, {}, manifest)
+            checks["config_hash"] = chash
+            write_outputs(Path(args.out), checks, {}, manifest)
             print(f"ok: spec valid (config {chash[:12]})")
             return EXIT_OK
-        layout = build_layout(spec)
-        # verification always precedes computation
-        verify_spec(spec, base, args.command)
-        report, traces, code = COMMANDS[args.command](spec, layout, base, seed)
+        report, traces, code = COMMANDS[args.command](spec, build_layout(spec), base, seed)
         report["config_hash"] = chash
         report["tolerances"] = TOLERANCES
         write_outputs(Path(args.out), report, traces, manifest)

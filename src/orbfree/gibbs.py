@@ -9,7 +9,6 @@ thermodynamic integration), and microstate-set occupancy fractions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
@@ -34,7 +33,6 @@ __all__ = [
     "mean_tracial_state",
     "log_partition",
     "occupancy",
-    "chain_checkpoint",
 ]
 
 _IMAG_TOL = 1e-9
@@ -291,11 +289,6 @@ def log_partition(
     return est, err
 
 
-def _single_family(h: NCPoly) -> bool:
-    fams = {l[1] for w in h.terms for l in w}
-    return len(fams) <= 1
-
-
 def occupancy(
     chain: GibbsChain, target: MomentTable, m: int, delta: float
 ) -> tuple[float, float]:
@@ -312,32 +305,3 @@ def occupancy(
     frac = hits / len(chain.samples)
     logf = -math.inf if frac == 0.0 else math.log(frac) / config.N**2
     return frac, logf
-
-
-# ---------------------------------------------------------------------------
-# checkpoints
-
-
-def chain_checkpoint(chain: GibbsChain, config_hash: str = "") -> dict:
-    """JSON-serializable checkpoint: config hash, RNG state, current
-    matrices, accumulators."""
-
-    def mat(a):
-        return [[float(v.real), float(v.imag)] for v in np.asarray(a).ravel(order="F")]
-
-    state = {
-        "sa": {f"{i},{j}": mat(a) for (i, j), a in chain.state.sa.items()},
-        "unitaries": {str(i): mat(v) for i, v in chain.state.unitaries.items()},
-    }
-    return {
-        "config_hash": config_hash,
-        "kind": chain.config.kind,
-        "N": chain.config.N,
-        "sweep": chain.sweep,
-        "eps": chain.eps,
-        "rng_state": json.loads(json.dumps(chain.rng.bit_generator.state)),
-        "accepted": chain.accepted,
-        "proposed": chain.proposed,
-        "state": state,
-        "energy_trace": [list(row) for row in chain.energy_trace],
-    }

@@ -1,20 +1,17 @@
-"""Truncated tracial states as moment tables, empirical and orbital
-empirical states, microstate membership tests, the free-product moment
-oracle, mixtures, and single-variable free entropy."""
+"""Truncated tracial states as moment tables, empirical states (of a
+conjugated tuple for orbital ones), microstate membership tests, the
+centering recursion behind the free-product moment oracle, mixtures, and
+single-variable free entropy."""
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
-
-import warnings
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .matrices import MatrixTuple, SpectralMeasure, trace_word
 from .poly import (
@@ -35,9 +32,7 @@ __all__ = [
     "MomentTable",
     "canonical_word",
     "empirical_state",
-    "empirical_orbital_state",
     "microstate_check",
-    "orbital_microstate_check",
     "free_product",
     "free_cumulants",
     "moments_from_cumulants",
@@ -72,16 +67,13 @@ def canonical_word(w: Iterable[Letter]) -> tuple[Word, bool]:
     representative must be conjugated when the flag is set.
     """
     w = _cyclic_reduce(tuple(w))
-    best = None
-    best_flag = False
-    for cand, flag in ((w, False), (adjoint_word(w), True)):
-        for k in range(max(1, len(cand))):
-            rot = cand[k:] + cand[:k]
-            key = word_sort_key(rot)
-            if best is None or key < word_sort_key(best):
-                best = rot
-                best_flag = flag
-    return best, best_flag
+    n = max(1, len(w))
+    # min keeps the first of equal candidates: rotations of w come first
+    return min(
+        ((cand[k:] + cand[:k], flag)
+         for cand, flag in ((w, False), (adjoint_word(w), True)) for k in range(n)),
+        key=lambda c: word_sort_key(c[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -208,17 +200,6 @@ def empirical_state(tup: MatrixTuple, m: int, alphabet: str = "x") -> MomentTabl
     return table
 
 
-def empirical_orbital_state(
-    unitaries: Sequence[np.ndarray], microstates: Sequence[np.ndarray] | MatrixTuple, m: int
-) -> MomentTable:
-    """Empirical state of the conjugated tuple (V_i Xi_i V_i*), over x."""
-    if isinstance(microstates, MatrixTuple):
-        tup = microstates
-    else:
-        raise TypeError("pass microstates as a MatrixTuple")
-    return empirical_state(tup.conjugated(list(unitaries)), m, alphabet="x")
-
-
 def microstate_check(tup: MatrixTuple, target: MomentTable, m: int, delta: float) -> bool:
     """Membership in the microstate set: every word of length <= m matches
     the target within delta in absolute value."""
@@ -235,58 +216,41 @@ def microstate_check(tup: MatrixTuple, target: MomentTable, m: int, delta: float
     return True
 
 
-def orbital_microstate_check(
-    unitaries: Sequence[np.ndarray],
-    microstates: MatrixTuple,
-    target: MomentTable,
-    m: int,
-    delta: float,
-) -> bool:
-    """Orbital membership: the conjugated tuple lies in the microstate set
-    of the joint target (all mixed moments up to degree m within delta)."""
-    return microstate_check(microstates.conjugated(list(unitaries)), target, m, delta)
-
-
 # ---------------------------------------------------------------------------
 # free product via the centering recursion
 
 
-def _blocks(w: Word) -> list[Word]:
-    out = []
-    for _, grp in itertools.groupby(w, key=lambda l: l[1]):
-        out.append(tuple(grp))
-    return out
+class _CenteringRecursion:
+    """Moments of a free product, memoized on canonical keys.
 
-
-def free_product(marginals: Sequence[MomentTable], m: int) -> MomentTable:
-    """Joint moments of freely independent families with the given
-    single-family marginals.
-
-    Uses the centering recursion: an alternating product of centered
+    ``component`` maps a letter to the freely independent subalgebra it
+    belongs to, and ``marginal`` gives the moment of a block of adjacent
+    letters from one subalgebra.  An alternating product of centered
     blocks has trace zero, which expands any mixed word into polynomially
-    many shorter mixed words and marginal moments.
+    many shorter mixed words and block marginals.
     """
-    layout = marginals[0].layout
-    if len(marginals) != layout.n:
-        raise ValueError("need one marginal per family")
-    for t in marginals:
-        if t.m < m:
-            raise ValueError("marginal degree insufficient")
 
-    cache: dict[Word, complex] = {(): 1.0 + 0.0j}
+    def __init__(self, component: Callable[[Letter], Hashable],
+                 marginal: Callable[[Word], complex]):
+        self.component = component
+        self.marginal = marginal
+        self.cache: dict[Word, complex] = {(): 1.0 + 0.0j}
 
-    def tau(w: Word) -> complex:
+    def __call__(self, w: Iterable[Letter]) -> complex:
         key, flag = canonical_word(w)
-        if key in cache:
-            v = cache[key]
-            return v.conjugate() if flag else v
-        blocks = _blocks(key)
+        v = self.at(key)
+        return v.conjugate() if flag else v
+
+    def at(self, key: Word) -> complex:
+        """Value on a word that is already a canonical key."""
+        if key in self.cache:
+            return self.cache[key]
+        blocks = [tuple(g) for _, g in itertools.groupby(key, key=self.component)]
         if len(blocks) == 1:
-            fam = key[0][1]
-            v = marginals[fam - 1].get(key)
+            v = self.marginal(key)
         else:
             k = len(blocks)
-            betas = [marginals[b[0][1] - 1].get(b) for b in blocks]
+            betas = [self.marginal(b) for b in blocks]
             # 0 = sum over subsets T of (-1)^(k-|T|) prod_{j not in T} beta_j
             #     * tau(concatenation of blocks in T); solve for T = full set
             acc = 0.0 + 0.0j
@@ -300,17 +264,31 @@ def free_product(marginals: Sequence[MomentTable], m: int) -> MomentTable:
                     else:
                         coeff *= betas[j]
                         dropped += 1
+                if coeff == 0.0:
+                    continue
                 sign = -1.0 if dropped % 2 else 1.0
-                acc += sign * coeff * tau(tuple(kept))
+                acc += sign * coeff * self(kept)
             v = -acc
-        cache[key] = v
-        return v.conjugate() if flag else v
+        self.cache[key] = v
+        return v
 
+
+def free_product(marginals: Sequence[MomentTable], m: int) -> MomentTable:
+    """Joint moments of freely independent families with the given
+    single-family marginals, by the centering recursion."""
+    layout = marginals[0].layout
+    if len(marginals) != layout.n:
+        raise ValueError("need one marginal per family")
+    for t in marginals:
+        if t.m < m:
+            raise ValueError("marginal degree insufficient")
+    state = _CenteringRecursion(lambda l: l[1],
+                                lambda block: marginals[block[0][1] - 1].get(block))
     out = MomentTable(layout, marginals[0].alphabet, m, layout.R)
     for w in _enumerate_words(_alphabet_letters(layout, out.alphabet), m):
         key, _ = canonical_word(w)
         if key not in out.values:
-            out.values[key] = tau(key)
+            out.values[key] = state.at(key)
     return out
 
 
@@ -330,6 +308,17 @@ def table_from_measure(
 # free cumulants
 
 
+def _composition_sum(mom: Sequence[complex], s: int, total: int) -> complex:
+    """Sum over compositions (i_1, ..., i_s) of `total` with parts >= 0 of
+    mom[i_1] ... mom[i_s]."""
+    if s == 0:
+        return 1.0 + 0.0j if total == 0 else 0.0 + 0.0j
+    acc = 0.0 + 0.0j
+    for first in range(total + 1):
+        acc += mom[first] * _composition_sum(mom, s - 1, total - first)
+    return acc
+
+
 def free_cumulants(moments: Sequence[float | complex], m: int | None = None) -> list[complex]:
     """Free cumulants (kappa_1, ..., kappa_m) from raw moments
     (m_1, ..., m_m) by inverting the moment-cumulant recursion
@@ -340,19 +329,8 @@ def free_cumulants(moments: Sequence[float | complex], m: int | None = None) -> 
         m = len(moments)
     mom = [1.0 + 0.0j] + [complex(v) for v in moments[:m]]
     kappa: list[complex] = []
-
-    def comp_sum(s: int, total: int) -> complex:
-        # sum over compositions (i_1,...,i_s) of `total` with parts >= 0
-        # of products of moments
-        if s == 0:
-            return 1.0 + 0.0j if total == 0 else 0.0 + 0.0j
-        acc = 0.0 + 0.0j
-        for first in range(total + 1):
-            acc += mom[first] * comp_sum(s - 1, total - first)
-        return acc
-
     for n in range(1, m + 1):
-        rest = sum(kappa[s - 1] * comp_sum(s, n - s) for s in range(1, n))
+        rest = sum(kappa[s - 1] * _composition_sum(mom, s, n - s) for s in range(1, n))
         kappa.append(mom[n] - rest)
     return kappa
 
@@ -363,17 +341,8 @@ def moments_from_cumulants(kappa: Sequence[float | complex], m: int | None = Non
         m = len(kappa)
     kap = [complex(v) for v in kappa[:m]]
     mom = [1.0 + 0.0j]
-
-    def comp_sum(s: int, total: int) -> complex:
-        if s == 0:
-            return 1.0 + 0.0j if total == 0 else 0.0 + 0.0j
-        acc = 0.0 + 0.0j
-        for first in range(total + 1):
-            acc += mom[first] * comp_sum(s - 1, total - first)
-        return acc
-
     for n in range(1, m + 1):
-        mom.append(sum(kap[s - 1] * comp_sum(s, n - s) for s in range(1, n + 1)))
+        mom.append(sum(kap[s - 1] * _composition_sum(mom, s, n - s) for s in range(1, n + 1)))
     return mom[1:]
 
 
@@ -413,46 +382,24 @@ def moment_distance(t1: MomentTable, t2: MomentTable, m: int) -> float:
 _CHI_CONST = 0.75 + 0.5 * math.log(2.0 * math.pi)
 
 
-@functools.lru_cache(maxsize=64)
-def _log_energy_quantile(mu: SpectralMeasure, grid_size: int = 4096) -> float:
-    # double integral of log|s - t| in quantile coordinates; the quantile
-    # is tabulated once and interpolated so the quadrature stays cheap
-    pg = np.linspace(0.0, 1.0, grid_size + 1)
-    qg = np.array([mu.quantile(p) for p in pg])
-
-    def Q(p):
-        return np.interp(p, pg, qg)
-
-    def inner(p):
-        qp = Q(p)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", IntegrationWarning)
-            val, _ = quad(
-                lambda q: math.log(abs(Q(q) - qp)) if Q(q) != qp else -60.0,
-                0.0,
-                1.0,
-                points=[p],
-                limit=100,
-                epsabs=1e-7,
-                epsrel=1e-7,
-            )
-        return val
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(inner, 0.0, 1.0, limit=100, epsabs=1e-6, epsrel=1e-6)
-    return val
-
-
 def chi_single(mu: SpectralMeasure) -> float:
     """Single-variable free entropy
 
         chi(mu) = double integral of log|s - t| + 3/4 + (1/2) log(2 pi).
 
-    Measures with atoms have divergent self-energy and return -inf.  For
-    empirical samples the off-diagonal pairwise estimator is used, which
-    targets the entropy of the underlying continuous law.
+    The log-energy has closed forms for the continuous kinds: log(r/2) - 1/4
+    for the semicircle of radius r and log((b-a)/4), the log-capacity of
+    [a, b], for the arcsine law.  Measures with atoms have divergent
+    self-energy and return -inf.  For empirical samples the off-diagonal
+    pairwise estimator is used, which targets the entropy of the
+    underlying continuous law.
     """
+    if mu.kind == "semicircle":
+        (r,) = mu.params
+        return math.log(r / 2.0) - 0.25 + _CHI_CONST
+    if mu.kind == "arcsine":
+        a, b = mu.params
+        return math.log((b - a) / 4.0) + _CHI_CONST
     if mu.kind in ("bernoulli", "atomic"):
         return -math.inf
     if mu.kind == "empirical":
@@ -465,4 +412,4 @@ def chi_single(mu: SpectralMeasure) -> float:
         if np.any(off == 0.0):
             return -math.inf
         return float(np.mean(np.log(off))) + _CHI_CONST
-    return _log_energy_quantile(mu) + _CHI_CONST
+    raise ValueError(f"no free entropy for measure kind {mu.kind!r}")

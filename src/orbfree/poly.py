@@ -30,7 +30,6 @@ __all__ = [
     "derive_fdq",
     "derive_liberation",
     "contract_theta",
-    "contract_theta_bar",
     "cyclic_gradient",
     "substitute_x",
     "unsubstitute_x",
@@ -546,11 +545,6 @@ def contract_theta(t: TensorNCPoly) -> NCPoly:
     return out
 
 
-# Kept as a separate name to mirror the two contraction symbols in use;
-# the formula is identical.
-contract_theta_bar = contract_theta
-
-
 def cyclic_gradient(i: int, p: NCPoly) -> NCPoly:
     """Cyclic gradient in the i-th unitary: theta composed with the
     unitary derivation."""
@@ -611,7 +605,7 @@ def liberation_gradient(i: int, h: NCPoly) -> NCPoly:
         raise ValueError("liberation gradient requires a self-adjoint input")
     sub = substitute_x(h)
     grad = -(NCPoly.u(h.layout, i) * cyclic_gradient(i, sub) * NCPoly.ustar(h.layout, i))
-    via_derivation = substitute_x(contract_theta_bar(derive_liberation(i, h)))
+    via_derivation = substitute_x(contract_theta(derive_liberation(i, h)))
     assert grad == via_derivation, "liberation gradient routes disagree"
     return grad
 
@@ -762,41 +756,38 @@ class _Parser:
             return inner
         if kind == "gen":
             gen = text[0]
-            i = self._index(pos)
+            i = self._index()
             if gen == "u":
-                self.layout.check_family(i)
+                self._in_range(pos, self.layout.check_family, i)
                 self.expect("]")
                 return NCPoly.u(self.layout, i)
             self.expect(",")
-            j = self._index(pos)
+            j = self._index()
             self.expect("]")
-            try:
-                self.layout.check_xz(i, j)
-            except ValueError as exc:
-                raise ParseError(str(exc), pos) from None
+            self._in_range(pos, self.layout.check_xz, i, j)
             if gen == "x":
                 return NCPoly.x(self.layout, i, j)
             return NCPoly.z(self.layout, i, j)
         if kind == "uprime":
-            i = self._index(pos)
+            i = self._index()
             self.expect("]")
-            try:
-                self.layout.check_family(i)
-            except ValueError as exc:
-                raise ParseError(str(exc), pos) from None
+            self._in_range(pos, self.layout.check_family, i)
             return NCPoly.ustar(self.layout, i)
         raise ParseError(f"unexpected token {text!r}", pos)
 
-    def _index(self, pos: int) -> int:
+    def _index(self) -> int:
         kind, text, tpos = self.next()
         if kind != "num" or not text.isdigit():
             raise ParseError("expected an integer index", tpos)
-        i = int(text)
+        return int(text)
+
+    @staticmethod
+    def _in_range(pos: int, check, *indices: int) -> None:
+        """Run a layout bounds check, reporting a failure at the generator."""
         try:
-            self.layout.check_family  # noqa: B018 - bounds checked by caller
+            check(*indices)
         except ValueError as exc:
-            raise ParseError(str(exc), tpos) from None
-        return i
+            raise ParseError(str(exc), pos) from None
 
 
 def parse(text: str, layout: FamilyLayout) -> NCPoly:

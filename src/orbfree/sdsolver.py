@@ -14,8 +14,6 @@ from the z-families) seeds the iteration.
 
 from __future__ import annotations
 
-import itertools
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -23,7 +21,13 @@ from typing import Sequence
 import numpy as np
 
 from .matrices import SpectralMeasure
-from .moments import MomentTable, canonical_word, x_letters, _enumerate_words
+from .moments import (
+    MomentTable,
+    _CenteringRecursion,
+    _enumerate_words,
+    canonical_word,
+    x_letters,
+)
 from .poly import (
     FamilyLayout,
     Letter,
@@ -103,64 +107,35 @@ def _component(letter: Letter) -> tuple[str, int]:
     return ("u" if kind in ("u", "U") else "z", i)
 
 
-class _FreeHaarState:
+def _free_haar_oracle(problem: SDProblem) -> _CenteringRecursion:
     """Moments of the free product of one Haar unitary per family and the
-    z-families with marginals from the problem, via the centering
-    recursion."""
+    z-families with marginals from the problem."""
 
-    def __init__(self, problem: SDProblem):
-        self.problem = problem
-        self.cache: dict[Word, complex] = {(): 1.0 + 0.0j}
-
-    def _block_marginal(self, block: Word) -> complex:
+    def marginal(block: Word) -> complex:
         kind, fam = _component(block[0])
         if kind == "u":
             # reduced runs are pure powers u^k or (u*)^k; Haar moments vanish
             return 0.0 + 0.0j
-        return self.problem.marginal(fam, block)
+        return problem.marginal(fam, block)
 
-    def value(self, w) -> complex:
-        key, flag = canonical_word(w)
-        v = self._value_linear(key)
-        return v.conjugate() if flag else v
-
-    def _value_linear(self, w: Word) -> complex:
-        if w in self.cache:
-            return self.cache[w]
-        blocks = [tuple(g) for _, g in itertools.groupby(w, key=_component)]
-        if len(blocks) == 1:
-            v = self._block_marginal(w)
-        else:
-            k = len(blocks)
-            betas = [self._block_marginal(b) for b in blocks]
-            acc = 0.0 + 0.0j
-            for mask in range(2**k - 1):
-                coeff = 1.0 + 0.0j
-                kept: list[Letter] = []
-                dropped = 0
-                for j in range(k):
-                    if mask >> j & 1:
-                        kept.extend(blocks[j])
-                    else:
-                        coeff *= betas[j]
-                        dropped += 1
-                if coeff == 0.0:
-                    continue
-                sign = -1.0 if dropped % 2 else 1.0
-                acc += sign * coeff * self.value(reduce_word(kept))
-            v = -acc
-        self.cache[w] = v
-        return v
+    return _CenteringRecursion(_component, marginal)
 
 
 def free_haar_state(problem: SDProblem, words: Sequence[Word]) -> MomentTable:
     """Free-product oracle values on the given uz-words."""
-    st = _FreeHaarState(problem)
+    oracle = _free_haar_oracle(problem)
     out = MomentTable(problem.layout, "uz", problem.D, problem.layout.R)
     for w in words:
         key, _ = canonical_word(w)
-        out.values[key] = st._value_linear(key)
+        out.values[key] = oracle.at(key)
     return out
+
+
+def _lookup(values: dict[Word, complex], oracle: _CenteringRecursion, w) -> complex:
+    """tau(w) from the given values, else from the h = 0 oracle."""
+    key, flag = canonical_word(w)
+    v = values[key] if key in values else oracle.at(key)
+    return v.conjugate() if flag else v
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +172,7 @@ def _is_pure_z(w: Word) -> bool:
 class _Solver:
     def __init__(self, problem: SDProblem, demand: Sequence[Word]):
         self.problem = problem
-        self.oracle = _FreeHaarState(problem)
+        self.oracle = _free_haar_oracle(problem)
         hz = substitute_x(problem.h)
         self.grads = {}
         for i in range(1, problem.layout.n + 1):
@@ -234,7 +209,7 @@ class _Solver:
         # deterministic update order: by length then lexicographic
         self.order = sorted(self.plans, key=lambda w: (len(w), w))
         for w in self.order:
-            self.values[w] = self.oracle._value_linear(w)
+            self.values[w] = self.oracle.at(w)
 
     def _make_plan(self, w: Word):
         i, rot, at_end = _pick_rotation(w)
@@ -251,30 +226,19 @@ class _Solver:
                 rhs_words.append((reduce_word(v + rot), complex(c)))
         return i, at_end, lhs_terms, rhs_words
 
-    def lookup(self, w, table: dict[Word, complex]) -> complex:
-        key, flag = canonical_word(w)
-        if not key:
-            return 1.0 + 0.0j
-        if _is_pure_z(key):
-            v = self.oracle._value_linear(key)
-        elif key in table:
-            v = table[key]
-        else:
-            v = self.oracle._value_linear(key)
-        return v.conjugate() if flag else v
-
     def sweep(self) -> float:
         prev = dict(self.values)
+        oracle = self.oracle
         damp = 0.0 if self.problem.picard else self.problem.damping
         max_delta = 0.0
         for w in self.order:
             _, at_end, lhs_terms, rhs_words = self.plans[w]
             s = 0.0 + 0.0j
             for a, b, sign in lhs_terms:
-                s += sign * self.lookup(a, self.values) * self.lookup(b, self.values)
+                s += sign * _lookup(self.values, oracle, a) * _lookup(self.values, oracle, b)
             rhs = 0.0 + 0.0j
             for v, c in rhs_words:
-                rhs += c * self.lookup(v, prev)
+                rhs += c * _lookup(prev, oracle, v)
             cand = rhs - s if at_end else s - rhs
             new = damp * self.values[w] + (1.0 - damp) * cand
             max_delta = max(max_delta, abs(new - self.values[w]))
@@ -339,7 +303,7 @@ def sd_solve(
         if w and _is_pure_z(w):
             key, _ = canonical_word(w)
             if key not in table.values:
-                table.values[key] = solver.oracle._value_linear(key)
+                table.values[key] = solver.oracle.at(key)
     resid = sd_residual(table, problem)
     report = SDReport(converged and resid <= problem.tol, iterations, resid,
                       history, ratios)
@@ -350,29 +314,16 @@ def sd_solve(
 # residual
 
 
-def _table_lookup(table: MomentTable, problem: SDProblem, oracle: _FreeHaarState, w) -> complex:
-    key, flag = canonical_word(w)
-    if not key:
-        return 1.0 + 0.0j
-    if key in table.values:
-        v = table.values[key]
-    elif _is_pure_z(key):
-        v = oracle._value_linear(key)
-    else:
-        v = oracle._value_linear(key)
-    return v.conjugate() if flag else v
-
-
 def sd_residual(table: MomentTable, problem: SDProblem, max_test_len: int | None = None) -> float:
     """Max violation of the Schwinger-Dyson equation over all test words p
     with degree(p) + degree(D_i h) <= D, plus the z-marginal deviation."""
     layout = problem.layout
-    oracle = _FreeHaarState(problem)
+    oracle = _free_haar_oracle(problem)
     hz = substitute_x(problem.h)
     worst = 0.0
 
     def tau(w):
-        return _table_lookup(table, problem, oracle, w)
+        return _lookup(table.values, oracle, w)
 
     for i in range(1, layout.n + 1):
         g = cyclic_gradient(i, hz)
@@ -391,7 +342,7 @@ def sd_residual(table: MomentTable, problem: SDProblem, max_test_len: int | None
     # z-marginal deviation
     for w, v in table.values.items():
         if w and _is_pure_z(w):
-            worst = max(worst, abs(v - oracle._value_linear(w)))
+            worst = max(worst, abs(v - oracle.at(w)))
     return worst
 
 
@@ -402,7 +353,7 @@ def sd_residual(table: MomentTable, problem: SDProblem, max_test_len: int | None
 def pushforward_x(table: MomentTable, problem: SDProblem, m: int) -> MomentTable:
     """Moments of x_ij = u_i z_ij u_i* under the solved state."""
     layout = problem.layout
-    oracle = _FreeHaarState(problem)
+    oracle = _free_haar_oracle(problem)
     out = MomentTable(layout, "x", m, layout.R)
     for w in _enumerate_words(x_letters(layout), m):
         key, _ = canonical_word(w)
@@ -410,7 +361,7 @@ def pushforward_x(table: MomentTable, problem: SDProblem, m: int) -> MomentTable
             continue
         zw = substitute_x(NCPoly.monomial(layout, list(key), 1))
         ((word, c),) = zw.terms.items()
-        out.values[key] = complex(c) * _table_lookup(table, problem, oracle, word)
+        out.values[key] = complex(c) * _lookup(table.values, oracle, word)
     return out
 
 
@@ -418,12 +369,12 @@ def liberation_check(table: MomentTable, problem: SDProblem, m: int) -> float:
     """Max deviation of tau(j_i w) from (tau (x) tau) applied to the
     liberation derivative of w, over x-words of length <= m."""
     layout = problem.layout
-    oracle = _FreeHaarState(problem)
+    oracle = _free_haar_oracle(problem)
 
     def tau_uz(p: NCPoly) -> complex:
         acc = 0.0 + 0.0j
         for w, c in p.terms.items():
-            acc += complex(c) * _table_lookup(table, problem, oracle, w)
+            acc += complex(c) * _lookup(table.values, oracle, w)
         return acc
 
     def tau_x(p: NCPoly) -> complex:

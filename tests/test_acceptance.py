@@ -24,7 +24,7 @@ from orbfree.matrices import (
     trace_evaluate,
 )
 from orbfree.moments import (
-    empirical_orbital_state,
+    empirical_state,
     free_product,
     moment_distance,
     table_from_measure,
@@ -33,7 +33,7 @@ from orbfree.poly import (
     FamilyLayout,
     NCPoly,
     TensorNCPoly,
-    contract_theta_bar,
+    contract_theta,
     derive_liberation,
     derive_unitary,
     letter_u,
@@ -129,7 +129,7 @@ def test_criterion_01_symbolic_suite():
         count += 1
         for i in (1, 2):
             grad = liberation_gradient(i, h)
-            assert grad == substitute_x(contract_theta_bar(derive_liberation(i, h)))
+            assert grad == substitute_x(contract_theta(derive_liberation(i, h)))
     ok = count >= 500 and time.time() - t0 < 60
     report(1, ok, f"symbolic suite exact on {count} random polynomials", t0)
 
@@ -201,7 +201,7 @@ def test_criterion_05_asymptotic_freeness():
     dists = []
     for _ in range(M):
         vs = [haar_unitary(N, rng) for _ in range(2)]
-        dists.append(moment_distance(empirical_orbital_state(vs, tup, m), fp, m))
+        dists.append(moment_distance(empirical_state(tup.conjugated(vs), m), fp, m))
     mean = float(np.mean(dists))
     report(5, mean <= 10.0 / N, f"freeness distance {mean:.4f} <= {10.0 / N}", t0)
 

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from orbfree.cli import main
+from orbfree.cli import COMMANDS, main
 
 BASE_SPEC = {
     "h": "0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]",
@@ -88,6 +88,28 @@ class TestVerify:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("validation error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, spec, key", [
+        *((command, {"R": "two"}, "R") for command in sorted(COMMANDS)),
+        ("pressure", {"gibbs": {"samples": "ten"}}, "samples"),
+        ("gibbs", {"gibbs": {"eps": "big"}}, "eps"),
+        ("gibbs", {"gibbs": {"colour": 1}}, "colour"),
+        ("gibbs", {"m": "four"}, "m"),
+        ("sd", {"m": "four"}, "m"),
+        ("pressure", {"h": 3}, "h"),
+        ("pressure", {"families": "semicircle:2"}, "families"),
+        ("pressure", {"seed": "x"}, "seed"),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_wrong_types_exit_2(self, tmp_path, capsys, command, spec, key, flags):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, **spec}))
+        code, _ = run(tmp_path, command, p, "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert repr(key) in err
         assert "Traceback" not in err
 
 

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -7,7 +6,6 @@ from scipy.integrate import quad
 
 from orbfree.gibbs import (
     GibbsConfig,
-    chain_checkpoint,
     energy,
     log_partition,
     mean_tracial_state,
@@ -225,11 +223,3 @@ class TestReproducibility:
         for s1, s2 in zip(c1.samples, c2.samples):
             for i in (1, 2):
                 assert np.array_equal(s1.unitaries[i], s2.unitaries[i])
-
-    def test_checkpoint_serializes(self):
-        h = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1]", LAYOUT)
-        chain = run(orbital_config(h, 3, sweeps=30, burn_in=5))
-        blob = json.dumps(chain_checkpoint(chain, config_hash="abc"))
-        data = json.loads(blob)
-        assert data["config_hash"] == "abc"
-        assert data["sweep"] == 30

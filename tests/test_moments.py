@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbfree.matrices import (
     MatrixTuple,
@@ -18,7 +20,6 @@ from orbfree.moments import (
     MomentTable,
     canonical_word,
     chi_single,
-    empirical_orbital_state,
     empirical_state,
     free_cumulants,
     free_product,
@@ -26,11 +27,10 @@ from orbfree.moments import (
     mixture,
     moment_distance,
     moments_from_cumulants,
-    orbital_microstate_check,
     table_from_measure,
     x_letters,
 )
-from orbfree.poly import FamilyLayout, letter_x, letter_z, letter_u, letter_ustar
+from orbfree.poly import FamilyLayout, adjoint_word, letter_x, letter_z, letter_u, letter_ustar
 
 LAYOUT2 = FamilyLayout(n=2, r=(1, 1), R=2.0)
 X1 = letter_x(1, 1)
@@ -152,14 +152,14 @@ class TestEmpiricalState:
         sa = {(i, 1): spectral_clip(gue(3, rng), 2.0) for i in (1, 2)}
         tup = MatrixTuple(LAYOUT2, 3, sa=sa)
         eye = [np.eye(3, dtype=complex)] * 2
-        assert moment_distance(empirical_orbital_state(eye, tup, 3), empirical_state(tup, 3), 3) < 1e-12
+        assert moment_distance(empirical_state(tup.conjugated(eye), 3), empirical_state(tup, 3), 3) < 1e-12
 
     def test_orbital_scalar_case(self):
         lay = LAYOUT2
         tup = MatrixTuple(lay, 1, sa={(1, 1): np.array([[0.7]], dtype=complex),
                                       (2, 1): np.array([[-1.2]], dtype=complex)})
         vs = [np.array([[np.exp(1j * 0.3)]]), np.array([[np.exp(-1j * 1.1)]])]
-        t = empirical_orbital_state(vs, tup, 2)
+        t = empirical_state(tup.conjugated(vs), 2)
         assert t.get((X1, X2)) == pytest.approx(0.7 * -1.2)
 
 
@@ -193,9 +193,9 @@ class TestMicrostateCheck:
         tup, target = self._tuple_and_target()
         rng = np.random.default_rng(4)
         eye = [np.eye(3, dtype=complex)] * 2
-        assert orbital_microstate_check(eye, tup, target, 3, 1e-9)
+        assert microstate_check(tup.conjugated(eye), target, 3, 1e-9)
         vs = [haar_unitary(3, rng) for _ in range(2)]
-        assert orbital_microstate_check(vs, tup, target, 1, 1e-9)
+        assert microstate_check(tup.conjugated(vs), target, 1, 1e-9)
 
 
 class TestFreeProduct:
@@ -257,7 +257,7 @@ class TestFreeProduct:
         dists = []
         for _ in range(samples):
             vs = [haar_unitary(N, rng) for _ in range(2)]
-            emp = empirical_orbital_state(vs, tup, m)
+            emp = empirical_state(tup.conjugated(vs), m)
             dists.append(moment_distance(emp, fp, m))
         assert np.mean(dists) <= 10.0 / N
 
@@ -344,18 +344,18 @@ class TestMomentDistance:
 class TestChiSingle:
     def test_semicircle(self):
         got = chi_single(SpectralMeasure.semicircle(2.0))
-        assert got == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-3)
+        assert got == pytest.approx(0.5 * math.log(2 * math.pi * math.e), abs=1e-12)
 
     def test_scaling(self):
         base = chi_single(SpectralMeasure.semicircle(2.0))
         scaled = chi_single(SpectralMeasure.semicircle(4.0))
-        assert scaled - base == pytest.approx(math.log(2.0), abs=1e-3)
+        assert scaled - base == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_arcsine_closed_form(self):
         # the arcsine law on [-2,2] is the equilibrium measure of a set of
         # logarithmic capacity 1, so the log-energy vanishes
         got = chi_single(SpectralMeasure.arcsine(-2.0, 2.0))
-        assert got == pytest.approx(0.75 + 0.5 * math.log(2 * math.pi), abs=1e-4)
+        assert got == pytest.approx(0.75 + 0.5 * math.log(2 * math.pi), abs=1e-12)
 
     def test_atoms(self):
         assert chi_single(SpectralMeasure.atomic([(0.3, 1.0)])) == -math.inf
@@ -377,3 +377,54 @@ class TestSerialization:
         back = MomentTable.from_json(data)
         assert moment_distance(t, back, 3) < 1e-12
         assert back.alphabet == "x" and back.m == 3
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn inputs
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+LETTERS = [X1, X2, letter_z(1, 1), letter_u(1), letter_ustar(1), letter_u(2), letter_ustar(2)]
+words = st.lists(st.sampled_from(LETTERS), max_size=7).map(tuple)
+unit_reals = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+class TestProperties:
+    @PROPERTY_SETTINGS
+    @given(words, st.integers(0, 6))
+    def test_canonical_word_invariant_under_rotation_and_adjoint(self, w, k):
+        key, _ = canonical_word(w)
+        k %= max(1, len(w))
+        assert canonical_word(w[k:] + w[:k])[0] == key
+        assert canonical_word(adjoint_word(w))[0] == key
+
+    @PROPERTY_SETTINGS
+    @given(words)
+    def test_canonical_key_is_a_fixed_point(self, w):
+        key, _ = canonical_word(w)
+        assert canonical_word(key) == (key, False)
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(unit_reals, min_size=1, max_size=6))
+    def test_cumulant_round_trip(self, mom):
+        back = moments_from_cumulants(free_cumulants(mom))
+        assert max(abs(b - m) for b, m in zip(back, mom)) <= 1e-12
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.lists(st.floats(-0.8, 0.8, allow_nan=False), min_size=6, max_size=6),
+                    min_size=2, max_size=2),
+           st.lists(st.lists(st.sampled_from((1, 2)), min_size=1, max_size=6),
+                    min_size=1, max_size=4))
+    def test_free_product_matches_nc_partitions(self, seqs, drawn_words):
+        kappas = {}
+        marginals = []
+        for fam, seq in enumerate(seqs, start=1):
+            x = letter_x(fam, 1)
+            t = MomentTable(LAYOUT2, "x", 6, 10.0)
+            for k, v in enumerate(seq, start=1):
+                t.values[(x,) * k] = complex(v)
+            marginals.append(t)
+            kappas[fam] = [v.real for v in free_cumulants(seq)]
+        fp = free_product(marginals, 6)
+        for fams in drawn_words:
+            w = tuple(letter_x(f, 1) for f in fams)
+            assert fp.get(w) == pytest.approx(nc_mixed_moment(fams, kappas), abs=1e-12)

@@ -9,7 +9,6 @@ from orbfree.poly import (
     ParseError,
     TensorNCPoly,
     contract_theta,
-    contract_theta_bar,
     cyclic_gradient,
     derive_fdq,
     derive_liberation,
@@ -88,6 +87,10 @@ class TestParse:
             parse("x[3,1]", LAYOUT)
         with pytest.raises((ParseError, ValueError)):
             parse("x[2,2]", LAYOUT)
+        for text, pos in (("u[9]", 0), ("u'[9]", 0), ("x[1,1]*u[9]", 7)):
+            with pytest.raises(ParseError) as err:
+                parse(text, LAYOUT)
+            assert err.value.position == pos
 
     def test_roundtrip(self):
         rng = random.Random(7)
