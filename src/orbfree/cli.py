@@ -61,9 +61,25 @@ def _load_family(entry, base: Path):
         except ValueError as err:
             raise ValidationError(str(err)) from None
     path = base / entry if isinstance(entry, str) else None
-    if path is None or not path.exists():
+    if path is None or not path.is_file():
         raise ValidationError(f"family entry {entry!r} is neither a measure spec nor a file")
-    return json.loads(path.read_text())
+    try:
+        return json.loads(path.read_text())
+    except ValueError as err:
+        raise ValidationError(f"family file {entry!r} is not valid JSON: {err}") from None
+
+
+def _family_matrix(k: int, entry, data, layout: FamilyLayout) -> np.ndarray:
+    """The Hermitian matrix that the matrix file ``entry`` gives family k."""
+    try:
+        tup = MatrixTuple.from_json(data, layout)
+    except KeyError as err:
+        raise ValidationError(f"family file {entry!r} has no key {err}") from None
+    except (TypeError, ValueError) as err:
+        raise ValidationError(f"family file {entry!r} rejected: {err}") from None
+    if (k, 1) not in tup.sa:
+        raise ValidationError(f"family file {entry!r} has no matrix for family {k}")
+    return tup.sa[(k, 1)]
 
 
 def build_layout(spec: dict) -> FamilyLayout:
@@ -189,8 +205,8 @@ def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
 
 def verify_spec(spec: dict, base: Path, command: str) -> dict:
     """Dry-run validation: grammar, layout bounds, self-adjointness,
-    marginal realizability, value types, dimensions and chain lengths.  No
-    computation."""
+    marginal realizability, matrix files, value types, dimensions, chain
+    lengths and the SD truncation degree.  No computation."""
     _check_spec(spec, command)
     layout = build_layout(spec)
     report = {"layout": {"n": layout.n, "r": list(layout.r), "R": layout.R}, "checks": []}
@@ -212,7 +228,11 @@ def verify_spec(spec: dict, base: Path, command: str) -> dict:
                 )
             report["checks"].append(f"family {k}: measure {entry} realizable within R")
         else:
-            report["checks"].append(f"family {k}: matrix file with N={fam['N']}")
+            N = len(_family_matrix(k, entry, fam, layout))
+            report["checks"].append(f"family {k}: matrix file with N={N}")
+    if command in ("sd", "liberation"):
+        _build_sd_problem(spec, layout, base)
+        report["checks"].append("sd problem well posed")
     if "h2" in spec:
         parse_h(spec, layout, "h2")
         report["checks"].append("h2 parses")
@@ -227,10 +247,10 @@ def _microstates(spec: dict, layout: FamilyLayout, N: int, base: Path) -> Matrix
         if isinstance(fam, SpectralMeasure):
             sa[(i, 1)] = quantile_microstate(fam, N)
         else:
-            tup = MatrixTuple.from_json(fam, layout)
-            if tup.N != N:
-                raise ValidationError(f"matrix file for family {i} has N={tup.N}, need {N}")
-            sa[(i, 1)] = tup.sa[(i, 1)]
+            a = _family_matrix(i, entry, fam, layout)
+            if len(a) != N:
+                raise ValidationError(f"matrix file for family {i} has N={len(a)}, need {N}")
+            sa[(i, 1)] = a
     return MatrixTuple(layout, N, sa=sa)
 
 
@@ -382,14 +402,17 @@ def _build_sd_problem(spec, layout, base):
         if not isinstance(fam, SpectralMeasure):
             raise ValidationError("sd needs measure-spec families for tau0")
         tau0.append(fam)
-    return sd_mod.SDProblem(
-        layout, h, tau0,
-        D=int(sd_cfg.get("D", 8)),
-        damping=float(sd_cfg.get("damping", 0.5)),
-        max_iter=int(sd_cfg.get("max_iter", 200)),
-        tol=float(sd_cfg.get("tol", 1e-10)),
-        picard=bool(sd_cfg.get("picard", False)),
-    )
+    try:
+        return sd_mod.SDProblem(
+            layout, h, tau0,
+            D=int(sd_cfg.get("D", 8)),
+            damping=float(sd_cfg.get("damping", 0.5)),
+            max_iter=int(sd_cfg.get("max_iter", 200)),
+            tol=float(sd_cfg.get("tol", 1e-10)),
+            picard=bool(sd_cfg.get("picard", False)),
+        )
+    except ValueError as err:
+        raise ValidationError(f"'sd' rejected: {err}") from None
 
 
 def cmd_sd(spec, layout, base, seed):

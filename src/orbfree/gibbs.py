@@ -15,10 +15,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, gue, haar_unitary, spectral_reflect
+from .matrices import MatrixTuple, gue, haar_unitary, spectral_reflect, trace_evaluate
 from .moments import (
     MomentTable,
-    canonical_word,
     empirical_state,
     microstate_check,
 )
@@ -79,6 +78,7 @@ class GibbsConfig:
 class GibbsChain:
     config: GibbsConfig
     state: MatrixTuple
+    energy: float  # energy(state, config), carried so each state is scored once
     eps: float
     rng: np.random.Generator
     sweep: int = 0
@@ -102,8 +102,6 @@ def _effective_tuple(state: MatrixTuple, config: GibbsConfig) -> MatrixTuple:
 
 def energy(state: MatrixTuple, config: GibbsConfig, beta: float | None = None) -> float:
     """N^2 * beta * Re tr_N h on the ensemble's effective tuple."""
-    from .matrices import trace_evaluate
-
     if config.h.is_zero:
         return 0.0
     beta = config.beta if beta is None else beta
@@ -125,41 +123,42 @@ def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple
     return MatrixTuple._unchecked(lay, config.N, sa, {}, check_norm=False)
 
 
+def _propose(chain: GibbsChain, slot) -> MatrixTuple:
+    """The chain's state with one update slot moved.  Orbital kind: slot i
+    rotates unitary i by exp(i eps H), H drawn from the GUE.  Matrix kind:
+    slot (i, j) moves by eps times a GUE draw, its spectrum reflected back
+    into [-R, R]."""
+    config = chain.config
+    state = chain.state
+    if config.kind == "unitary-orbital":
+        w, vecs = np.linalg.eigh(gue(config.N, chain.rng))
+        rot = (vecs * np.exp(1j * chain.eps * w)) @ vecs.conj().T
+        return state.with_unitaries(
+            [rot @ state.unitaries[k] if k == slot else state.unitaries[k]
+             for k in range(1, config.layout.n + 1)]
+        )
+    sa = dict(state.sa)
+    sa[slot] = spectral_reflect(sa[slot] + chain.eps * gue(config.N, chain.rng), config.R)
+    return MatrixTuple._unchecked(config.layout, config.N, sa, {}, check_norm=False)
+
+
 def step(chain: GibbsChain) -> GibbsChain:
     """One Metropolis sweep over all update slots; mutates the chain."""
     config = chain.config
-    rng = chain.rng
     lay = config.layout
-    e_cur = energy(chain.state, config)
     if config.kind == "unitary-orbital":
-        for i in range(1, lay.n + 1):
-            v = chain.state.unitaries[i]
-            hmat = gue(config.N, rng)
-            w, vecs = np.linalg.eigh(hmat)
-            rot = (vecs * np.exp(1j * chain.eps * w)) @ vecs.conj().T
-            proposal = chain.state.with_unitaries(
-                [rot @ v if k == i else chain.state.unitaries[k] for k in range(1, lay.n + 1)]
-            )
-            e_new = energy(proposal, config)
-            chain.proposed += 1
-            if e_new <= e_cur or rng.random() < math.exp(e_cur - e_new):
-                chain.state = proposal
-                e_cur = e_new
-                chain.accepted += 1
+        slots = range(1, lay.n + 1)
     else:
-        for i in range(1, lay.n + 1):
-            for j in range(1, lay.r[i - 1] + 1):
-                a = chain.state.sa[(i, j)]
-                cand = spectral_reflect(a + chain.eps * gue(config.N, rng), config.R)
-                sa = dict(chain.state.sa)
-                sa[(i, j)] = cand
-                proposal = MatrixTuple._unchecked(lay, config.N, sa, {}, check_norm=False)
-                e_new = energy(proposal, config)
-                chain.proposed += 1
-                if e_new <= e_cur or rng.random() < math.exp(e_cur - e_new):
-                    chain.state = proposal
-                    e_cur = e_new
-                    chain.accepted += 1
+        slots = [(i, j) for i in range(1, lay.n + 1) for j in range(1, lay.r[i - 1] + 1)]
+    for slot in slots:
+        proposal = _propose(chain, slot)
+        e_new = energy(proposal, config)
+        chain.proposed += 1
+        e_cur = chain.energy
+        if e_new <= e_cur or chain.rng.random() < math.exp(e_cur - e_new):
+            chain.state = proposal
+            chain.energy = e_new
+            chain.accepted += 1
     chain.sweep += 1
     return chain
 
@@ -169,7 +168,8 @@ def run(config: GibbsConfig, rng: np.random.Generator | None = None) -> GibbsCha
     afterwards, preserving detailed balance), then thinned sampling."""
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    chain = GibbsChain(config, _initial_state(config, rng), config.eps, rng)
+    state = _initial_state(config, rng)
+    chain = GibbsChain(config, state, energy(state, config), config.eps, rng)
     tune_interval = 20
     window_acc = 0
     window_prop = 0
@@ -187,10 +187,9 @@ def run(config: GibbsConfig, rng: np.random.Generator | None = None) -> GibbsCha
             elif rate > 0.50:
                 chain.eps *= 1.3
             window_acc = window_prop = 0
-        e = energy(chain.state, config)
-        chain.energy_trace.append((sweep, config.beta, e, chain.acceptance_rate))
+        chain.energy_trace.append((sweep, config.beta, chain.energy, chain.acceptance_rate))
         if not in_burn:
-            chain.energies.append(e)
+            chain.energies.append(chain.energy)
             if (sweep - config.burn_in) % config.thinning == 0:
                 chain.samples.append(chain.state)
     return chain
@@ -225,15 +224,12 @@ def mean_tracial_state(chain: GibbsChain, m: int) -> MomentTable:
     return out
 
 
-def _mean_and_stderr(xs: Sequence[float], thinning: int = 1) -> tuple[float, float]:
+def _mean_and_stderr(xs: Sequence[float]) -> tuple[float, float]:
     xs = np.asarray(xs, dtype=float)
     n = len(xs)
     if n < 2:
         return float(xs.mean()) if n else 0.0, float("inf")
-    # conservative effective sample size: treat only every `thinning`-th
-    # point as independent
-    neff = max(2, n // max(1, thinning))
-    return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(neff))
+    return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(n))
 
 
 def log_partition(
@@ -278,7 +274,7 @@ def log_partition(
         sub = replace(config, beta=float(b), seed=config.seed + 1000 * k)
         chain = run(sub)
         raw = [energy(s, config, beta=1.0) for s in chain.samples]
-        mu, se = _mean_and_stderr(raw, thinning=1)
+        mu, se = _mean_and_stderr(raw)
         means.append(mu)
         errs.append(se)
     w = np.full(beta_grid, 1.0 / (beta_grid - 1))

@@ -3,10 +3,9 @@ spectral clipping, and evaluation of polynomials on matrix tuples."""
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -79,22 +78,6 @@ class MatrixTuple:
             if np.max(np.abs(v.conj().T @ v - np.eye(self.N))) > _UNITARITY_TOL:
                 raise ValueError(f"matrix {i} is not unitary")
             self.unitaries[i] = v
-
-    @staticmethod
-    def from_families(
-        layout: FamilyLayout, families: Sequence[Sequence[np.ndarray]], check_norm: bool = True
-    ) -> "MatrixTuple":
-        """Build from one list of Hermitian matrices per family."""
-        sa = {}
-        N = None
-        for i, fam in enumerate(families, start=1):
-            for j, a in enumerate(fam, start=1):
-                a = np.asarray(a, dtype=complex)
-                N = a.shape[0] if N is None else N
-                sa[(i, j)] = a
-        if N is None:
-            raise ValueError("no matrices given")
-        return MatrixTuple(layout, N, sa=sa, check_norm=check_norm)
 
     def conjugated(self, unitaries: Sequence[np.ndarray]) -> "MatrixTuple":
         """Replace each family's matrices A_ij by V_i A_ij V_i*."""
@@ -307,10 +290,6 @@ class SpectralMeasure:
         if self.kind == "atomic":
             return sum(w * p**k for p, w in self.params)
         return float(np.mean(np.asarray(self.params) ** k))
-
-    @property
-    def is_atomic(self) -> bool:
-        return self.kind in ("bernoulli", "atomic", "empirical")
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,6 @@ single-variable free entropy."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Iterable, Sequence
@@ -139,14 +138,6 @@ class MomentTable:
             bound = self.R ** xz_letter_count(w)
             if abs(v) > bound * (1.0 + 1e-9) + tol:
                 raise ValueError(f"moment bound violated at {w}: |{v}| > {bound}")
-
-    def restrict_family(self, i: int) -> "MomentTable":
-        """Marginal table of family i (keeps only words in that family)."""
-        out = MomentTable(self.layout, self.alphabet, self.m, self.R)
-        for w, v in self.values.items():
-            if all(l[1] == i for l in w):
-                out.values[w] = v
-        return out
 
     # -- serialization -----------------------------------------------------
 

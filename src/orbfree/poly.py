@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable
 
 __all__ = [
     "QC",
@@ -32,7 +32,6 @@ __all__ = [
     "contract_theta",
     "cyclic_gradient",
     "substitute_x",
-    "unsubstitute_x",
     "liberation_gradient",
     "norm_bound",
 ]
@@ -90,6 +89,16 @@ QC_ZERO = QC(Fraction(0), Fraction(0))
 QC_ONE = QC(Fraction(1), Fraction(0))
 
 
+def _accumulate(terms: dict, key, c: QC) -> None:
+    """Add c to terms[key], dropping the key when the sum is zero; a key
+    that reappears is re-inserted at the end, which fixes term order."""
+    s = terms.get(key, QC_ZERO) + c
+    if s.is_zero:
+        terms.pop(key, None)
+    else:
+        terms[key] = s
+
+
 # ---------------------------------------------------------------------------
 # layout, letters, words
 
@@ -97,13 +106,11 @@ QC_ONE = QC(Fraction(1), Fraction(0))
 @dataclass(frozen=True)
 class FamilyLayout:
     """Family structure: ``n`` families, family ``i`` holds ``r[i-1]``
-    self-adjoint letters; ``R`` is the operator-norm cutoff, ``S`` an
-    optional secondary cutoff for derived variables."""
+    self-adjoint letters; ``R`` is the operator-norm cutoff."""
 
     n: int
     r: tuple[int, ...]
     R: float
-    S: float | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -112,8 +119,6 @@ class FamilyLayout:
             raise ValueError("per-family sizes must be >= 1, one per family")
         if self.R <= 0:
             raise ValueError("cutoff R must be positive")
-        if self.S is not None and self.S <= 0:
-            raise ValueError("cutoff S must be positive")
 
     def check_family(self, i: int) -> None:
         if not 1 <= i <= self.n:
@@ -256,11 +261,7 @@ class NCPoly:
         self._check_layout(other)
         terms = dict(self.terms)
         for w, c in other.terms.items():
-            s = terms.get(w, QC_ZERO) + c
-            if s.is_zero:
-                terms.pop(w, None)
-            else:
-                terms[w] = s
+            _accumulate(terms, w, c)
         return NCPoly(self.layout, terms)
 
     def __sub__(self, other: "NCPoly") -> "NCPoly":
@@ -281,13 +282,7 @@ class NCPoly:
             terms: dict[Word, QC] = {}
             for w1, c1 in self.terms.items():
                 for w2, c2 in other.terms.items():
-                    w = reduce_word(w1 + w2)
-                    c = c1 * c2
-                    s = terms.get(w, QC_ZERO) + c
-                    if s.is_zero:
-                        terms.pop(w, None)
-                    else:
-                        terms[w] = s
+                    _accumulate(terms, reduce_word(w1 + w2), c1 * c2)
             return NCPoly(self.layout, terms)
         return self.scale(other)
 
@@ -313,17 +308,11 @@ class NCPoly:
     def is_selfadjoint(self) -> bool:
         return self == self.adjoint()
 
-    def coefficient(self, w: Word) -> QC:
-        return self.terms.get(w, QC_ZERO)
-
     def alphabet(self) -> set[str]:
         out: set[str] = set()
         for w in self.terms:
             out |= word_alphabet(w)
         return out
-
-    def words(self) -> Iterator[Word]:
-        return iter(self.terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPoly) and self.terms == other.terms
@@ -378,12 +367,7 @@ class TensorNCPoly:
         terms: dict[tuple[Word, Word], QC] = {}
         for wa, ca in a.terms.items():
             for wb, cb in b.terms.items():
-                key = (wa, wb)
-                s = terms.get(key, QC_ZERO) + ca * cb
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                _accumulate(terms, (wa, wb), ca * cb)
         return TensorNCPoly(a.layout, terms)
 
     def _check_layout(self, other) -> None:
@@ -394,11 +378,7 @@ class TensorNCPoly:
         self._check_layout(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            s = terms.get(k, QC_ZERO) + c
-            if s.is_zero:
-                terms.pop(k, None)
-            else:
-                terms[k] = s
+            _accumulate(terms, k, c)
         return TensorNCPoly(self.layout, terms)
 
     def __sub__(self, other: "TensorNCPoly") -> "TensorNCPoly":
@@ -417,12 +397,7 @@ class TensorNCPoly:
         terms: dict[tuple[Word, Word], QC] = {}
         for (a1, b1), c1 in self.terms.items():
             for (a2, b2), c2 in other.terms.items():
-                key = (reduce_word(a1 + a2), reduce_word(b1 + b2))
-                s = terms.get(key, QC_ZERO) + c1 * c2
-                if s.is_zero:
-                    terms.pop(key, None)
-                else:
-                    terms[key] = s
+                _accumulate(terms, (reduce_word(a1 + a2), reduce_word(b1 + b2)), c1 * c2)
         return TensorNCPoly(self.layout, terms)
 
     def adjoint(self) -> "TensorNCPoly":
@@ -433,9 +408,6 @@ class TensorNCPoly:
                 for (a, b), c in self.terms.items()
             },
         )
-
-    def left(self) -> list[tuple[Word, Word, QC]]:
-        return [(a, b, c) for (a, b), c in self.terms.items()]
 
     @property
     def is_zero(self) -> bool:
@@ -459,12 +431,7 @@ class TensorNCPoly:
 def _tensor_from_terms(layout, items: Iterable[tuple[Word, Word, QC]]) -> TensorNCPoly:
     terms: dict[tuple[Word, Word], QC] = {}
     for a, b, c in items:
-        key = (reduce_word(a), reduce_word(b))
-        s = terms.get(key, QC_ZERO) + c
-        if s.is_zero:
-            terms.pop(key, None)
-        else:
-            terms[key] = s
+        _accumulate(terms, (reduce_word(a), reduce_word(b)), c)
     return TensorNCPoly(layout, terms)
 
 
@@ -532,17 +499,10 @@ def derive_liberation(i: int, p: NCPoly) -> TensorNCPoly:
 
 def contract_theta(t: TensorNCPoly) -> NCPoly:
     """Multiply tensor legs in reverse order: a (x) b -> ba."""
-    out = NCPoly.zero(t.layout)
     terms: dict[Word, QC] = {}
     for (a, b), c in t.terms.items():
-        w = reduce_word(b + a)
-        s = terms.get(w, QC_ZERO) + c
-        if s.is_zero:
-            terms.pop(w, None)
-        else:
-            terms[w] = s
-    out.terms = terms
-    return out
+        _accumulate(terms, reduce_word(b + a), c)
+    return NCPoly(t.layout, terms)
 
 
 def cyclic_gradient(i: int, p: NCPoly) -> NCPoly:
@@ -560,12 +520,7 @@ def substitute_x(p: NCPoly) -> NCPoly:
         letters: list[Letter] = []
         for kind, i, j in w:
             letters += [letter_u(i), letter_z(i, j), letter_ustar(i)]
-        rw = reduce_word(letters)
-        s = terms.get(rw, QC_ZERO) + c
-        if s.is_zero:
-            terms.pop(rw, None)
-        else:
-            terms[rw] = s
+        _accumulate(terms, reduce_word(letters), c)
     return NCPoly(p.layout, terms)
 
 
@@ -590,11 +545,6 @@ def unsubstitute_x_word(w: Word, layout: FamilyLayout) -> Word:
             raise ValueError(f"word not in the substitution image: {w}")
         pos += 1
     return tuple(out)
-
-
-def unsubstitute_x(p: NCPoly) -> NCPoly:
-    terms = {unsubstitute_x_word(w, p.layout): c for w, c in p.terms.items()}
-    return NCPoly(p.layout, terms)
 
 
 def liberation_gradient(i: int, h: NCPoly) -> NCPoly:

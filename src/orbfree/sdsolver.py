@@ -18,11 +18,10 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
-
 from .matrices import SpectralMeasure
 from .moments import (
     MomentTable,
+    _alphabet_letters,
     _CenteringRecursion,
     _enumerate_words,
     canonical_word,
@@ -35,9 +34,6 @@ from .poly import (
     Word,
     cyclic_gradient,
     derive_liberation,
-    letter_u,
-    letter_ustar,
-    letter_z,
     liberation_gradient,
     reduce_word,
     substitute_x,
@@ -72,7 +68,10 @@ class SDProblem:
             raise ValueError("need one z-marginal per family")
         hz = substitute_x(self.h)
         if not self.h.is_zero and self.D < hz.degree + 2:
-            raise ValueError("truncation degree must exceed degree(h(uzu*)) + 1")
+            raise ValueError(
+                f"truncation degree 'D' = {self.D} must exceed degree(h(uzu*)) + 1 = "
+                f"{hz.degree + 1}"
+            )
         tmax = max((abs(c) for c in self.h.terms.values()), default=0.0)
         if tmax > SMALLNESS_THRESHOLD:
             warnings.warn(
@@ -253,7 +252,7 @@ def _default_demand(problem: SDProblem, pushforward_degree: int) -> list[Word]:
                 for i in range(1, layout.n + 1))), default=0)
     demand: list[Word] = []
     # residual test words and their right-hand sides
-    letters = _uz_letters(layout)
+    letters = _alphabet_letters(layout, "uz")
     cap = max(0, problem.D - deg) if not problem.h.is_zero else 2
     for p in _enumerate_words(letters, min(cap, 3)):
         if p:
@@ -264,14 +263,6 @@ def _default_demand(problem: SDProblem, pushforward_degree: int) -> list[Word]:
             zw = substitute_x(NCPoly.monomial(layout, list(w), 1))
             demand.extend(zw.terms.keys())
     return demand
-
-
-def _uz_letters(layout: FamilyLayout) -> list[Letter]:
-    out = [letter_z(i, j) for i in range(1, layout.n + 1) for j in range(1, layout.r[i - 1] + 1)]
-    for i in range(1, layout.n + 1):
-        out.append(letter_u(i))
-        out.append(letter_ustar(i))
-    return out
 
 
 def sd_solve(
@@ -299,7 +290,7 @@ def sd_solve(
     for w, v in solver.values.items():
         table.values[w] = v
     # pure z words for completeness
-    for w in _enumerate_words(_uz_letters(problem.layout), min(problem.D, 4)):
+    for w in _enumerate_words(_alphabet_letters(problem.layout, "uz"), min(problem.D, 4)):
         if w and _is_pure_z(w):
             key, _ = canonical_word(w)
             if key not in table.values:
@@ -331,7 +322,7 @@ def sd_residual(table: MomentTable, problem: SDProblem, max_test_len: int | None
         if max_test_len is not None:
             cap = min(cap, max_test_len)
         cap = min(cap, 3)  # keeps enumeration over the uz alphabet bounded
-        for p in _enumerate_words(_uz_letters(layout), cap):
+        for p in _enumerate_words(_alphabet_letters(layout, "uz"), cap):
             lhs = 0.0 + 0.0j
             for a, b, sign in _derive_terms(i, p):
                 lhs += sign * tau(a) * tau(b)

@@ -1,9 +1,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from orbfree.cli import COMMANDS, main
+from orbfree.matrices import MatrixTuple
+from orbfree.poly import FamilyLayout
 
 BASE_SPEC = {
     "h": "0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]",
@@ -14,6 +17,14 @@ BASE_SPEC = {
     "m": 2,
     "seed": 7,
 }
+
+SD_D2 = {"sd": {"D": 2}, "h": "0.01*x[1,1]*x[2,1] + 0.01*x[2,1]*x[1,1]"}
+FAMILY_FILE = {"families": ["semicircle:2", "fam.json"], "Ns": [2]}
+
+
+def matrix_file(sa) -> str:
+    """A matrix-tuple JSON file at N=2 filling the given slots."""
+    return json.dumps(MatrixTuple(FamilyLayout(2, (1, 1), 2.0), 2, sa=sa).to_json())
 
 
 def write_spec(tmp_path, extra=None, **overrides):
@@ -112,6 +123,44 @@ class TestVerify:
         assert repr(key) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, spec, family_file, names", [
+        ("sd", SD_D2, None, ["'sd'", "'D'"]),
+        ("liberation", SD_D2, None, ["'sd'", "'D'"]),
+        ("pressure", FAMILY_FILE, "not json", ["'fam.json'"]),
+        ("pressure", FAMILY_FILE, json.dumps({"N": 2}), ["'fam.json'", "'families'"]),
+        ("pressure", FAMILY_FILE, json.dumps(
+            {"n": 2, "N": 2, "families": [[], [[[0, 0], [1, 0], [0, 0], [0, 0]]]]}),
+         ["'fam.json'", "Hermitian"]),
+        # the file fills family 1, but the spec reads it for family 2
+        ("pressure", FAMILY_FILE, matrix_file({(1, 1): np.diag([1.0, -1.0])}),
+         ["'fam.json'", "family 2"]),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_bad_inputs_exit_2(self, tmp_path, capsys, command, spec, family_file, names,
+                               flags):
+        if family_file is not None:
+            (tmp_path / "fam.json").write_text(family_file)
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, **spec}))
+        code, _ = run(tmp_path, command, p, "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert all(name in err for name in names)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_matrix_family_file(self, tmp_path, flags):
+        (tmp_path / "fam.json").write_text(matrix_file({(2, 1): np.diag([1.0, -1.0])}))
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, **FAMILY_FILE}))
+        code, out = run(tmp_path, "pressure", p, "out", *flags)
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        if flags:
+            assert "family 2: matrix file with N=2" in report["checks"]
+        else:
+            assert [row["N"] for row in report["per_N"]] == [2]
 
 class TestCommands:
     def test_pressure(self, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from orbfree import gibbs
 from orbfree.gibbs import (
     GibbsConfig,
     energy,
@@ -113,6 +114,34 @@ class TestStep:
             inits.append(chain.energy_trace[0][2])
             finals.append(np.mean(chain.energies))
         assert np.mean(finals) < np.mean(inits)
+
+
+class TestCarriedEnergy:
+    @pytest.fixture(params=["unitary-orbital", "matrix"])
+    def config(self, request):
+        h = parse("0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,1]^2", LAYOUT)
+        if request.param == "matrix":
+            return GibbsConfig("matrix", 3, h, R=2.0, sweeps=40, burn_in=10, seed=4)
+        return orbital_config(h, 3, sweeps=40, burn_in=10, seed=4)
+
+    def test_each_state_scored_once(self, config, monkeypatch):
+        calls = {"n": 0}
+        original = gibbs.energy
+
+        def counting(state, config, beta=None):
+            calls["n"] += 1
+            return original(state, config, beta)
+
+        monkeypatch.setattr(gibbs, "energy", counting)
+        chain = gibbs.run(config)
+        # the initial state, then one call per proposal
+        assert calls["n"] == chain.proposed + 1
+
+    def test_carried_energy_is_current(self, config):
+        chain = run(config)
+        assert 0 < chain.accepted < chain.proposed
+        assert chain.energy == energy(chain.state, config)
+        assert chain.energy == chain.energy_trace[-1][2]
 
 
 class TestMeanTracialState:
