@@ -11,6 +11,7 @@ import json
 import math
 import platform
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import scipy
 from . import gibbs as gibbs_mod
 from . import pressure as pressure_mod
 from . import sdsolver as sd_mod
-from .matrices import MatrixTuple, SpectralMeasure, quantile_microstate
+from .matrices import MatrixTuple, SpectralMeasure, haar_unitary, quantile_microstate
 from .moments import (
     MomentTable,
     empirical_state,
@@ -45,47 +46,12 @@ class ValidationError(Exception):
 
 
 # ---------------------------------------------------------------------------
-# spec handling
+# spec resolution
 
 
 def config_hash(spec: dict, seed: int) -> str:
     blob = json.dumps({"spec": spec, "seed": seed}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-def _load_family(entry, base: Path):
-    """A family is a measure spec string or a path to a matrix JSON file."""
-    if isinstance(entry, str) and ":" in entry:
-        try:
-            return SpectralMeasure.from_string(entry)
-        except ValueError as err:
-            raise ValidationError(str(err)) from None
-    path = base / entry if isinstance(entry, str) else None
-    if path is None or not path.is_file():
-        raise ValidationError(f"family entry {entry!r} is neither a measure spec nor a file")
-    try:
-        return json.loads(path.read_text())
-    except ValueError as err:
-        raise ValidationError(f"family file {entry!r} is not valid JSON: {err}") from None
-
-
-def _family_matrix(k: int, entry, data, layout: FamilyLayout) -> np.ndarray:
-    """The Hermitian matrix that the matrix file ``entry`` gives family k."""
-    try:
-        tup = MatrixTuple.from_json(data, layout)
-    except KeyError as err:
-        raise ValidationError(f"family file {entry!r} has no key {err}") from None
-    except (TypeError, ValueError) as err:
-        raise ValidationError(f"family file {entry!r} rejected: {err}") from None
-    if (k, 1) not in tup.sa:
-        raise ValidationError(f"family file {entry!r} has no matrix for family {k}")
-    return tup.sa[(k, 1)]
-
-
-def build_layout(spec: dict) -> FamilyLayout:
-    families = spec["families"]
-    return FamilyLayout(n=len(families), r=tuple(1 for _ in families),
-                        R=float(spec.get("R", 2.0)))
 
 
 def load_spec(path: str) -> dict:
@@ -106,20 +72,21 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
+    # NaN, Infinity and integers beyond the float range fail the comparison
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 _INT = (_is_int, "an integer")
 _POSITIVE_INT = (lambda v: _is_int(v) and v >= 1, "a positive integer")
-_NUMBER = (_is_number, "a number")
-_POSITIVE_NUMBER = (lambda v: _is_number(v) and v > 0, "a positive number")
+_NUMBER = (_is_number, "a finite number")
+_POSITIVE_NUMBER = (lambda v: _is_number(v) and v > 0, "a positive finite number")
 _STRING = (lambda v: isinstance(v, str), "a string")
 
 # (test, description) per spec key; keys absent from a spec take defaults
 SPEC_VALUES = {
     "Ns": (lambda v: isinstance(v, list) and v and all(_is_int(N) and N >= 1 for N in v),
            "a non-empty list of positive integers"),
-    "seed": _INT,
+    "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "R": _POSITIVE_NUMBER,
     "m": _POSITIVE_INT,
     "h": _STRING,
@@ -147,6 +114,26 @@ SD_VALUES = {
     "tol": _POSITIVE_NUMBER,
     "picard": (lambda v: isinstance(v, bool), "true or false"),
 }
+# the 'gibbs' keys that are settings of every chain a command runs
+CHAIN_KEYS = ("beta", "eps", "sweeps", "burn_in", "thinning")
+
+# the top-level values each command reads, with the default for each
+COMMAND_DEFAULTS = {
+    "pressure": {"Ns": [4, 8]},
+    "eta": {"Ns": [16], "basis_degree": 2},
+    "gibbs": {"Ns": [8], "m": 3},
+    "sd": {"m": 4},
+    "freeness": {"Ns": [100], "m": 4, "conjugations": 20},
+    "liberation": {"m": 3},
+    "property-suite": {"Ns": [2, 8]},
+    "relation-check": {"Ns": [8]},
+}
+# commands that run at one N of the spec's Ns
+ONE_N = {"eta": max, "freeness": max, "gibbs": lambda Ns: Ns[0]}
+# commands that build microstates of the families at each of their Ns
+MICROSTATE_COMMANDS = ("pressure", "eta", "gibbs", "freeness", "property-suite")
+# commands that read moments of the families: eta's target and the SD marginals
+MEASURE_COMMANDS = ("eta", "sd", "liberation")
 
 
 def _check_values(values: dict, rules: dict, where: str, closed: bool) -> None:
@@ -160,56 +147,122 @@ def _check_values(values: dict, rules: dict, where: str, closed: bool) -> None:
             raise ValidationError(f"{key!r} in {where} must be {wanted}, got {value!r}")
 
 
-def _check_spec(spec: dict, command: str) -> None:
-    """Every value the commands read has the right type and range, matrix
-    dimensions are positive integers, and every Gibbs chain the command
-    runs has sweeps > burn_in >= 0 once defaults are filled in."""
+def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
+    text = spec.get(key, "0*x[1,1]")
+    try:
+        p = parse(text, layout)
+    except ParseError as err:
+        raise ValidationError(f"polynomial {key!r} rejected at position {err.position}: {err}")
+    except (ValueError, ZeroDivisionError) as err:
+        raise ValidationError(f"polynomial {key!r} rejected: {err}")
+    if p.alphabet() & {"u", "U"}:
+        # the chains, microstates and SD problem have no unitary slot for u[i] to name
+        raise ValidationError(f"polynomial {key!r} rejected: it has a unitary letter u[i] or u'[i]")
+    return p
+
+
+def _load_family(k: int, entry, base: Path, layout: FamilyLayout):
+    """Family k's entry, a measure spec string or a path to a matrix-tuple
+    JSON file, as a SpectralMeasure or as family k's matrix in the file."""
+    if isinstance(entry, str) and ":" in entry:
+        try:
+            return SpectralMeasure.from_string(entry)
+        except ValueError as err:
+            raise ValidationError(f"family {k} measure {entry!r} rejected: {err}") from None
+    try:
+        data = json.loads((base / entry).read_bytes())
+    except (TypeError, OSError):
+        raise ValidationError(f"family entry {entry!r} is neither a measure spec nor a file") from None
+    except ValueError as err:
+        raise ValidationError(f"family file {entry!r} is not valid JSON: {err}") from None
+    try:
+        tup = MatrixTuple.from_json(data, layout)
+    except KeyError as err:
+        raise ValidationError(f"family file {entry!r} has no key {err}") from None
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValidationError(f"family file {entry!r} rejected: {err}") from None
+    if (k, 1) not in tup.sa:
+        raise ValidationError(f"family file {entry!r} has no matrix for family {k}")
+    return tup.sa[(k, 1)]
+
+
+@dataclass
+class Resolved:
+    """Everything a command reads from its spec, checked and loaded once."""
+
+    layout: FamilyLayout
+    h: NCPoly
+    h2: NCPoly | None
+    families: list  # per family: a SpectralMeasure or its matrix from the file
+    gibbs: dict  # the 'gibbs' section as given
+    sd: sd_mod.SDProblem | None  # sd and liberation
+    checks: list  # what was checked, for the --verify report
+    Ns: list = field(default_factory=list)  # the sizes the command runs at
+    m: int = 0
+    basis_degree: int = 0
+    conjugations: int = 0
+
+    @property
+    def chain(self) -> dict:
+        """The GibbsConfig settings in the 'gibbs' section."""
+        return {k: v for k, v in self.gibbs.items() if k in CHAIN_KEYS}
+
+    @property
+    def sampling(self) -> dict:
+        """The chain settings and 'samples', as the pressure estimators take them."""
+        return {k: v for k, v in self.gibbs.items() if k in CHAIN_KEYS or k == "samples"}
+
+    def microstates(self, N: int) -> MatrixTuple:
+        """Quantile microstates of the measures at size N, with the file matrices."""
+        sa = {(i, 1): quantile_microstate(f, N) if isinstance(f, SpectralMeasure) else f
+              for i, f in enumerate(self.families, start=1)}
+        return MatrixTuple(self.layout, N, sa=sa)
+
+
+def resolve(spec: dict, base: Path, command: str) -> Resolved:
+    """Check a spec for a command and load what the command reads.
+
+    Checks the type and range of every value (naming the key), the
+    grammar, layout bounds and self-adjointness of h (naming the offending
+    word), each family's realizability within R or its matrix file and
+    that file's N against the sizes the command builds, the length of
+    every chain the command runs, and the SD problem.  Raises
+    ValidationError on anything the command would reject; reads each
+    family file once and computes nothing.
+    """
     families = spec.get("families")
     if not isinstance(families, list) or not families:
         raise ValidationError(f"'families' must be a non-empty list, got {families!r}")
     _check_values(spec, SPEC_VALUES, "the spec", closed=False)
+    sections = {}
     for section, rules in (("gibbs", GIBBS_VALUES), ("sd", SD_VALUES)):
-        g = spec.get(section, {})
-        if not isinstance(g, dict):
+        sections[section] = spec.get(section, {})
+        if not isinstance(sections[section], dict):
             raise ValidationError(f"{section!r} must be a JSON object")
-        _check_values(g, rules, repr(section), closed=True)
-    g = spec.get("gibbs", {})
-    runs_chains = command in ("gibbs", "relation-check") or (
+        _check_values(sections[section], rules, repr(section), closed=True)
+    g = sections["gibbs"]
+    if command in ("gibbs", "relation-check") or (
         command == "pressure" and g.get("method", "sample") != "sample"
-    )
-    if not runs_chains:
-        return
-    if command == "relation-check":
-        defaults = pressure_mod.RELATION_CHAIN_DEFAULTS
-    else:
-        defaults = {"sweeps": gibbs_mod.GibbsConfig.sweeps,
-                    "burn_in": gibbs_mod.GibbsConfig.burn_in}
-    sweeps = g.get("sweeps", defaults["sweeps"])
-    burn_in = g.get("burn_in", defaults["burn_in"])
-    if not sweeps > burn_in >= 0:
-        raise ValidationError(
-            f"gibbs needs integers sweeps > burn_in >= 0, got sweeps={sweeps!r}, "
-            f"burn_in={burn_in!r}"
-        )
+    ):
+        if command == "relation-check":
+            defaults = pressure_mod.RELATION_CHAIN_DEFAULTS
+        else:
+            defaults = {"sweeps": gibbs_mod.GibbsConfig.sweeps,
+                        "burn_in": gibbs_mod.GibbsConfig.burn_in}
+        sweeps = g.get("sweeps", defaults["sweeps"])
+        burn_in = g.get("burn_in", defaults["burn_in"])
+        if not sweeps > burn_in >= 0:
+            raise ValidationError(
+                f"gibbs needs integers sweeps > burn_in >= 0, got sweeps={sweeps!r}, "
+                f"burn_in={burn_in!r}"
+            )
+    values = {k: spec.get(k, v) for k, v in COMMAND_DEFAULTS[command].items()}
+    if command in ONE_N:
+        values["Ns"] = [ONE_N[command](values["Ns"])]
+    builds = command in MICROSTATE_COMMANDS and not (
+        command == "gibbs" and g.get("kind", "unitary-orbital") == "matrix")
 
-
-def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
-    text = spec.get(key, "0*x[1,1]")
-    try:
-        return parse(text, layout)
-    except ParseError as err:
-        raise ValidationError(f"polynomial {key!r} rejected at position {err.position}: {err}")
-    except ValueError as err:
-        raise ValidationError(f"polynomial {key!r} rejected: {err}")
-
-
-def verify_spec(spec: dict, base: Path, command: str) -> dict:
-    """Dry-run validation: grammar, layout bounds, self-adjointness,
-    marginal realizability, matrix files, value types, dimensions, chain
-    lengths and the SD truncation degree.  No computation."""
-    _check_spec(spec, command)
-    layout = build_layout(spec)
-    report = {"layout": {"n": layout.n, "r": list(layout.r), "R": layout.R}, "checks": []}
+    layout = FamilyLayout(n=len(families), r=(1,) * len(families), R=float(spec.get("R", 2.0)))
     h = parse_h(spec, layout)
     if not h.is_selfadjoint():
         adj = h.adjoint()
@@ -218,50 +271,50 @@ def verify_spec(spec: dict, base: Path, command: str) -> dict:
         raise ValidationError(
             f"h is not self-adjoint; offending word {format_poly(NCPoly.monomial(layout, list(bad), 1))}"
         )
-    report["checks"].append("h parses and is self-adjoint")
-    for k, entry in enumerate(spec["families"], start=1):
-        fam = _load_family(entry, base)
+    checks = ["h parses and is self-adjoint"]
+    loaded = []
+    for k, entry in enumerate(families, start=1):
+        fam = _load_family(k, entry, base, layout)
         if isinstance(fam, SpectralMeasure):
             if fam.support_radius > layout.R + 1e-9:
                 raise ValidationError(
                     f"family {k} support radius {fam.support_radius} exceeds R={layout.R}"
                 )
-            report["checks"].append(f"family {k}: measure {entry} realizable within R")
+            checks.append(f"family {k}: measure {entry} realizable within R")
         else:
-            N = len(_family_matrix(k, entry, fam, layout))
-            report["checks"].append(f"family {k}: matrix file with N={N}")
+            if command in MEASURE_COMMANDS:
+                raise ValidationError(
+                    f"{command} needs measure-spec families, but family {k} is the file {entry!r}"
+                )
+            for N in values["Ns"] if builds else []:
+                if len(fam) != N:
+                    raise ValidationError(
+                        f"matrix file {entry!r} for family {k} has N={len(fam)}, "
+                        f"but {command} needs N={N}"
+                    )
+            checks.append(f"family {k}: matrix file with N={len(fam)}")
+        loaded.append(fam)
+    problem = None
     if command in ("sd", "liberation"):
-        _build_sd_problem(spec, layout, base)
-        report["checks"].append("sd problem well posed")
+        # float() keeps an integer damping or tol a float in the reports
+        settings = {k: float(v) if k in ("damping", "tol") else v
+                    for k, v in sections["sd"].items()}
+        try:
+            problem = sd_mod.SDProblem(layout, h, loaded, **settings)
+        except ValueError as err:
+            raise ValidationError(f"'sd' rejected: {err}") from None
+        checks.append("sd problem well posed")
+    h2 = None
     if "h2" in spec:
-        parse_h(spec, layout, "h2")
-        report["checks"].append("h2 parses")
-    report["ok"] = True
-    return report
+        h2 = parse_h(spec, layout, "h2")
+        checks.append("h2 parses")
+    return Resolved(layout, h, h2, loaded, g, problem, checks, **values)
 
 
-def _microstates(spec: dict, layout: FamilyLayout, N: int, base: Path) -> MatrixTuple:
-    sa = {}
-    for i, entry in enumerate(spec["families"], start=1):
-        fam = _load_family(entry, base)
-        if isinstance(fam, SpectralMeasure):
-            sa[(i, 1)] = quantile_microstate(fam, N)
-        else:
-            a = _family_matrix(i, entry, fam, layout)
-            if len(a) != N:
-                raise ValidationError(f"matrix file for family {i} has N={len(a)}, need {N}")
-            sa[(i, 1)] = a
-    return MatrixTuple(layout, N, sa=sa)
-
-
-def _target_table(spec: dict, layout: FamilyLayout, base: Path, m: int) -> MomentTable:
-    marginals = []
-    for i, entry in enumerate(spec["families"], start=1):
-        fam = _load_family(entry, base)
-        if not isinstance(fam, SpectralMeasure):
-            raise ValidationError("moment targets need measure-spec families")
-        marginals.append(table_from_measure(layout, i, 1, fam, m))
-    return free_product(marginals, m)
+def _free_product_of(layout: FamilyLayout, measures, m: int) -> MomentTable:
+    """Joint moments up to degree m of free families with these spectral measures."""
+    return free_product([table_from_measure(layout, i, 1, mu, m)
+                         for i, mu in enumerate(measures, start=1)], m)
 
 
 # ---------------------------------------------------------------------------
@@ -308,22 +361,13 @@ def write_outputs(out: Path, report: dict, traces: dict[str, list], manifest: di
 # commands
 
 
-def _gibbs_settings(spec: dict, seed: int) -> dict:
-    g = dict(spec.get("gibbs", {}))
-    g["seed"] = seed
-    return g
-
-
-def cmd_pressure(spec, layout, base, seed):
-    h = parse_h(spec, layout)
-    Ns = spec.get("Ns", [4, 8])
-    per_N = [(N, _microstates(spec, layout, N, base)) for N in Ns]
-    settings = _gibbs_settings(spec, seed)
-    method = settings.pop("method", "sample")
-    est = pressure_mod.pressure_estimate(h, per_N, settings, method=method)
+def cmd_pressure(r: Resolved, seed: int):
+    per_N = [(N, r.microstates(N)) for N in r.Ns]
+    est = pressure_mod.pressure_estimate(r.h, per_N, {**r.sampling, "seed": seed},
+                                         method=r.gibbs.get("method", "sample"))
     report = {
         "command": "pressure",
-        "h": h,
+        "h": r.h,
         "per_N": [{"N": N, "logZ": z, "stderr": s} for N, z, s in est.per_N],
         "normalized": est.normalized,
         "extrapolated": est.extrapolated,
@@ -335,17 +379,12 @@ def cmd_pressure(spec, layout, base, seed):
     return report, {"pressure.csv": rows}, EXIT_OK
 
 
-def cmd_eta(spec, layout, base, seed):
-    h_degree = int(spec.get("basis_degree", 2))
-    Ns = spec.get("Ns", [16])
-    N = max(Ns)
-    xi = _microstates(spec, layout, N, base)
-    target = _target_table(spec, layout, base, max(3, h_degree))
-    g = spec.get("gibbs", {})
+def cmd_eta(r: Resolved, seed: int):
+    (N,) = r.Ns
     est = pressure_mod.eta_estimate(
-        target, xi, basis_degree=h_degree,
-        samples=int(g.get("samples", 200)), budget=int(g.get("budget", 200)),
-        seed=seed,
+        _free_product_of(r.layout, r.families, max(3, r.basis_degree)), r.microstates(N),
+        basis_degree=r.basis_degree, samples=r.gibbs.get("samples", 200),
+        budget=r.gibbs.get("budget", 200), seed=seed,
     )
     report = {
         "command": "eta",
@@ -361,22 +400,12 @@ def cmd_eta(spec, layout, base, seed):
     return report, {"eta_trace.csv": rows}, EXIT_OK
 
 
-def cmd_gibbs(spec, layout, base, seed):
-    h = parse_h(spec, layout)
-    Ns = spec.get("Ns", [8])
-    N = Ns[0]
-    g = dict(spec.get("gibbs", {}))
-    kind = g.pop("kind", "unitary-orbital")
-    g.pop("method", None)
-    g.pop("samples", None)
-    g.pop("budget", None)
-    if kind == "unitary-orbital":
-        cfg = gibbs_mod.GibbsConfig(kind, N, h, microstates=_microstates(spec, layout, N, base),
-                                    seed=seed, **g)
-    else:
-        cfg = gibbs_mod.GibbsConfig(kind, N, h, R=layout.R, seed=seed, **g)
-    chain = gibbs_mod.run(cfg)
-    mean = gibbs_mod.mean_tracial_state(chain, int(spec.get("m", 3)))
+def cmd_gibbs(r: Resolved, seed: int):
+    (N,) = r.Ns
+    kind = r.gibbs.get("kind", "unitary-orbital")
+    ensemble = {"microstates": r.microstates(N)} if kind == "unitary-orbital" else {"R": r.layout.R}
+    chain = gibbs_mod.run(gibbs_mod.GibbsConfig(kind, N, r.h, seed=seed, **ensemble, **r.chain))
+    mean = gibbs_mod.mean_tracial_state(chain, r.m)
     report = {
         "command": "gibbs",
         "kind": kind,
@@ -393,39 +422,15 @@ def cmd_gibbs(spec, layout, base, seed):
     return report, {"energy_trace.csv": rows}, EXIT_OK
 
 
-def _build_sd_problem(spec, layout, base):
-    h = parse_h(spec, layout)
-    sd_cfg = dict(spec.get("sd", {}))
-    tau0 = []
-    for entry in spec["families"]:
-        fam = _load_family(entry, base)
-        if not isinstance(fam, SpectralMeasure):
-            raise ValidationError("sd needs measure-spec families for tau0")
-        tau0.append(fam)
-    try:
-        return sd_mod.SDProblem(
-            layout, h, tau0,
-            D=int(sd_cfg.get("D", 8)),
-            damping=float(sd_cfg.get("damping", 0.5)),
-            max_iter=int(sd_cfg.get("max_iter", 200)),
-            tol=float(sd_cfg.get("tol", 1e-10)),
-            picard=bool(sd_cfg.get("picard", False)),
-        )
-    except ValueError as err:
-        raise ValidationError(f"'sd' rejected: {err}") from None
-
-
-def cmd_sd(spec, layout, base, seed):
-    problem = _build_sd_problem(spec, layout, base)
-    table, rep = sd_mod.sd_solve(problem, pushforward_degree=int(spec.get("m", 4)))
-    pf = sd_mod.pushforward_x(table, problem, int(spec.get("m", 4)))
+def cmd_sd(r: Resolved, seed: int):
+    table, rep = sd_mod.sd_solve(r.sd, pushforward_degree=r.m)
     report = {
         "command": "sd",
         "converged": rep.converged,
         "iterations": rep.iterations,
         "residual": rep.residual,
         "solution": table,
-        "pushforward": pf,
+        "pushforward": sd_mod.pushforward_x(table, r.sd, r.m),
     }
     rows = [["iteration", "max_delta"]] + [
         [k, repr(d)] for k, d in enumerate(rep.delta_history)
@@ -434,29 +439,21 @@ def cmd_sd(spec, layout, base, seed):
     return report, {"sd_convergence.csv": rows}, code
 
 
-def cmd_freeness(spec, layout, base, seed):
-    Ns = spec.get("Ns", [100])
-    N = max(Ns)
-    m = int(spec.get("m", 4))
-    conjugations = int(spec.get("conjugations", 20))
-    xi = _microstates(spec, layout, N, base)
-    marginals = []
-    for i in range(1, layout.n + 1):
-        emp = SpectralMeasure.empirical(np.linalg.eigvalsh(xi.sa[(i, 1)]))
-        marginals.append(table_from_measure(layout, i, 1, emp, m))
-    fp = free_product(marginals, m)
+def cmd_freeness(r: Resolved, seed: int):
+    (N,) = r.Ns
+    xi = r.microstates(N)
+    fp = _free_product_of(r.layout, [SpectralMeasure.empirical(np.linalg.eigvalsh(xi.sa[(i, 1)]))
+                                     for i in range(1, r.layout.n + 1)], r.m)
     rng = np.random.default_rng(seed)
-    from .matrices import haar_unitary
-
     dists = []
-    for _ in range(conjugations):
-        vs = [haar_unitary(N, rng) for _ in range(layout.n)]
-        emp = empirical_state(xi.conjugated(vs), m)
-        dists.append(moment_distance(emp, fp, m))
+    for _ in range(r.conjugations):
+        vs = [haar_unitary(N, rng) for _ in range(r.layout.n)]
+        emp = empirical_state(xi.conjugated(vs), r.m)
+        dists.append(moment_distance(emp, fp, r.m))
     report = {
         "command": "freeness",
         "N": N,
-        "m": m,
+        "m": r.m,
         "distances": dists,
         "mean_distance": float(np.mean(dists)),
         "bound": 10.0 / N,
@@ -466,19 +463,18 @@ def cmd_freeness(spec, layout, base, seed):
     return report, {"freeness.csv": rows}, EXIT_OK
 
 
-def cmd_liberation(spec, layout, base, seed):
-    problem = _build_sd_problem(spec, layout, base)
-    table, rep = sd_mod.sd_solve(problem, pushforward_degree=int(spec.get("m", 3)))
+def cmd_liberation(r: Resolved, seed: int):
+    table, rep = sd_mod.sd_solve(r.sd, pushforward_degree=r.m)
     if not rep.converged:
         report = {"command": "liberation", "sd_converged": False,
                   "residual": rep.residual}
         return report, {}, EXIT_NONCONVERGENCE
-    dev = sd_mod.liberation_check(table, problem, int(spec.get("m", 3)))
+    dev = sd_mod.liberation_check(table, r.sd, r.m)
     report = {
         "command": "liberation",
         "max_deviation": dev,
-        "tolerance": 10 * problem.tol,
-        "pass": bool(dev <= 10 * problem.tol),
+        "tolerance": 10 * r.sd.tol,
+        "pass": bool(dev <= 10 * r.sd.tol),
         "sd_converged": True,
     }
     rows = [["iteration", "max_delta"]] + [
@@ -487,17 +483,13 @@ def cmd_liberation(spec, layout, base, seed):
     return report, {"sd_convergence.csv": rows}, EXIT_OK
 
 
-def cmd_property_suite(spec, layout, base, seed):
-    h1 = parse_h(spec, layout, "h")
-    h2 = parse_h(spec, layout, "h2") if "h2" in spec else h1.scale(0.5)
-    Ns = spec.get("Ns", [2, 8])
-    g = spec.get("gibbs", {})
-    M = int(g.get("samples", 64))
+def cmd_property_suite(r: Resolved, seed: int):
+    h2 = r.h2 if r.h2 is not None else r.h.scale(0.5)
     reports = {}
     worst = 0.0
-    for N in Ns:
-        xi = _microstates(spec, layout, N, base)
-        rep = pressure_mod.finite_N_property_suite(h1, h2, xi, M=M, seed=seed + N)
+    for N in r.Ns:
+        rep = pressure_mod.finite_N_property_suite(r.h, h2, r.microstates(N),
+                                                   M=r.gibbs.get("samples", 64), seed=seed + N)
         reports[str(N)] = rep
         worst = max(worst, rep["max_violation"])
     report = {
@@ -513,26 +505,22 @@ def cmd_property_suite(spec, layout, base, seed):
     return report, {"property_suite.csv": rows}, EXIT_OK
 
 
-def cmd_relation_check(spec, layout, base, seed):
-    h = parse_h(spec, layout)
-    Ns = spec.get("Ns", [8])
-    g = dict(spec.get("gibbs", {}))
-    g.pop("method", None)
+def cmd_relation_check(r: Resolved, seed: int):
     reports = []
-    for N in Ns:
-        rep = pressure_mod.pressure_relation_check(h, R=layout.R, N=N,
-                                                   gibbs_settings=dict(g), seed=seed + N)
+    for N in r.Ns:
+        rep = pressure_mod.pressure_relation_check(r.h, R=r.layout.R, N=N,
+                                                   gibbs_settings=r.sampling, seed=seed + N)
         rep["N"] = N
         reports.append(rep)
     report = {
         "command": "relation-check",
         "per_N": reports,
-        "any_significant_violation": any(r["significant_violation"] for r in reports),
+        "any_significant_violation": any(rep["significant_violation"] for rep in reports),
     }
     rows = [["N", "matrix_side", "orbital_side", "margin", "stderr"]]
-    for r in reports:
-        rows.append([r["N"], repr(r["matrix_side"]), repr(r["orbital_side"]),
-                     repr(r["margin"]), repr(r["stderr"])])
+    for rep in reports:
+        rows.append([rep["N"], repr(rep["matrix_side"]), repr(rep["orbital_side"]),
+                     repr(rep["margin"]), repr(rep["stderr"])])
     return report, {"relation_check.csv": rows}, EXIT_OK
 
 
@@ -568,10 +556,11 @@ def main(argv=None) -> int:
 
     try:
         spec = load_spec(args.spec)
-        base = Path(args.spec).resolve().parent
-        # verification always precedes computation
-        checks = verify_spec(spec, base, args.command)
+        # one resolution serves --verify and the run, before any computation
+        resolved = resolve(spec, Path(args.spec).resolve().parent, args.command)
         seed = args.seed if args.seed is not None else spec.get("seed", 0)
+        if seed < 0:
+            raise ValidationError(f"the seed must be a non-negative integer, got {seed}")
         chash = config_hash(spec, seed)
         manifest = {
             "config_hash": chash,
@@ -587,11 +576,13 @@ def main(argv=None) -> int:
             "tolerances": TOLERANCES,
         }
         if args.verify:
-            checks["config_hash"] = chash
+            layout = resolved.layout
+            checks = {"layout": {"n": layout.n, "r": list(layout.r), "R": layout.R},
+                      "checks": resolved.checks, "ok": True, "config_hash": chash}
             write_outputs(Path(args.out), checks, {}, manifest)
             print(f"ok: spec valid (config {chash[:12]})")
             return EXIT_OK
-        report, traces, code = COMMANDS[args.command](spec, build_layout(spec), base, seed)
+        report, traces, code = COMMANDS[args.command](resolved, seed)
         report["config_hash"] = chash
         report["tolerances"] = TOLERANCES
         write_outputs(Path(args.out), report, traces, manifest)

@@ -163,6 +163,14 @@ class MatrixTuple:
 # spectral measures
 
 
+def _finite(*values: float) -> tuple[float, ...]:
+    """The values as floats; a measure parameter must be a finite number."""
+    out = tuple(float(v) for v in values)
+    if not all(math.isfinite(v) for v in out):
+        raise ValueError(f"measure parameters must be finite, got {', '.join(map(repr, out))}")
+    return out
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Compactly supported probability measure on the line, given by a
@@ -176,30 +184,33 @@ class SpectralMeasure:
 
     @staticmethod
     def semicircle(radius: float) -> "SpectralMeasure":
+        (radius,) = _finite(radius)
         if radius <= 0:
             raise ValueError("radius must be positive")
-        return SpectralMeasure("semicircle", (float(radius),))
+        return SpectralMeasure("semicircle", (radius,))
 
     @staticmethod
     def bernoulli(a: float) -> "SpectralMeasure":
-        return SpectralMeasure("bernoulli", (float(a),))
+        return SpectralMeasure("bernoulli", _finite(a))
 
     @staticmethod
     def arcsine(a: float, b: float) -> "SpectralMeasure":
+        a, b = _finite(a, b)
         if b <= a:
             raise ValueError("need a < b")
-        return SpectralMeasure("arcsine", (float(a), float(b)))
+        return SpectralMeasure("arcsine", (a, b))
 
     @staticmethod
     def atomic(atoms: Sequence[tuple[float, float]]) -> "SpectralMeasure":
+        atoms = tuple(_finite(p, w) for p, w in atoms)
         total = sum(w for _, w in atoms)
         if abs(total - 1.0) > 1e-12 or any(w < 0 for _, w in atoms):
             raise ValueError("atom weights must be nonnegative and sum to 1")
-        return SpectralMeasure("atomic", tuple((float(p), float(w)) for p, w in atoms))
+        return SpectralMeasure("atomic", atoms)
 
     @staticmethod
     def empirical(sample: Sequence[float]) -> "SpectralMeasure":
-        return SpectralMeasure("empirical", tuple(sorted(float(s) for s in sample)))
+        return SpectralMeasure("empirical", tuple(sorted(_finite(*sample))))
 
     @staticmethod
     def from_string(spec: str) -> "SpectralMeasure":

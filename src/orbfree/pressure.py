@@ -7,7 +7,7 @@ ensembles."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -23,14 +23,20 @@ from .matrices import (
     quantile_microstate,
     trace_evaluate,
 )
-from .moments import MomentTable, chi_single, free_product, table_from_measure
+from .moments import (
+    MomentTable,
+    _enumerate_words,
+    canonical_word,
+    chi_single,
+    empirical_state,
+    microstate_check,
+    x_letters,
+)
 from .poly import (
     FamilyLayout,
     NCPoly,
     TensorNCPoly,
-    Word,
     adjoint_word,
-    letter_x,
     norm_bound,
 )
 
@@ -277,8 +283,6 @@ def selfadjoint_word_basis(layout: FamilyLayout, d: int) -> list[NCPoly]:
     """Self-adjoint symmetrizations (w + w*)/1 of x-words of degree 1..d,
     deduplicated; constants are excluded (flat direction of the
     objective)."""
-    from .moments import _enumerate_words, canonical_word, x_letters
-
     seen = set()
     out = []
     for w in _enumerate_words(x_letters(layout), d):
@@ -302,8 +306,6 @@ def _target_pairing(target: MomentTable, h: NCPoly) -> float:
 def _marginal_mismatch(target: MomentTable, microstates: MatrixTuple, d: int, tol: float):
     """Single-family word where the target disagrees with the microstate
     marginal; returns a signed witness polynomial or None."""
-    from .moments import empirical_state
-
     marg = empirical_state(microstates, d)
     for w in sorted(target.values, key=len):
         if not w or len(w) > d:
@@ -419,8 +421,6 @@ def equilibrium_check(
         rng = np.random.default_rng(seed + 7 * N)
         hits = 0
         M = samples
-        from .moments import microstate_check
-
         for s in sample_conjugations(xi, M, rng):
             if microstate_check(s, target, m, delta):
                 hits += 1
@@ -463,8 +463,6 @@ def penalty_poly(target: MomentTable, m: int, beta: float, delta: float) -> Tens
     """(beta/delta^2) sum over words w of length 1..m of
     (w - tau(w)) tensor (w - tau(w))*; pairs to zero with the target and
     is nonnegative under the double trace on every tuple."""
-    from .moments import _enumerate_words, x_letters
-
     layout = target.layout
     total = None
     for w in _enumerate_words(x_letters(layout), m):

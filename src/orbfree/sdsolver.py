@@ -265,14 +265,10 @@ def _default_demand(problem: SDProblem, pushforward_degree: int) -> list[Word]:
     return demand
 
 
-def sd_solve(
-    problem: SDProblem, pushforward_degree: int = 4, demand: Sequence[Word] | None = None
-) -> tuple[MomentTable, SDReport]:
+def sd_solve(problem: SDProblem, pushforward_degree: int = 4) -> tuple[MomentTable, SDReport]:
     """Damped Picard iteration on the demand-driven word set, seeded with
     the h=0 free-product solution."""
-    words = list(demand) if demand is not None else []
-    words.extend(_default_demand(problem, pushforward_degree))
-    solver = _Solver(problem, words)
+    solver = _Solver(problem, _default_demand(problem, pushforward_degree))
     history = []
     ratios = []
     converged = False
@@ -305,7 +301,7 @@ def sd_solve(
 # residual
 
 
-def sd_residual(table: MomentTable, problem: SDProblem, max_test_len: int | None = None) -> float:
+def sd_residual(table: MomentTable, problem: SDProblem) -> float:
     """Max violation of the Schwinger-Dyson equation over all test words p
     with degree(p) + degree(D_i h) <= D, plus the z-marginal deviation."""
     layout = problem.layout
@@ -319,8 +315,6 @@ def sd_residual(table: MomentTable, problem: SDProblem, max_test_len: int | None
     for i in range(1, layout.n + 1):
         g = cyclic_gradient(i, hz)
         cap = problem.D - (g.degree if not g.is_zero else 0)
-        if max_test_len is not None:
-            cap = min(cap, max_test_len)
         cap = min(cap, 3)  # keeps enumeration over the uz alphabet bounded
         for p in _enumerate_words(_alphabet_letters(layout, "uz"), cap):
             lhs = 0.0 + 0.0j

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import math
+import pathlib
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orbfree import sdsolver
 from orbfree.cli import COMMANDS, main
 from orbfree.matrices import MatrixTuple
 from orbfree.poly import FamilyLayout
@@ -111,6 +119,8 @@ class TestVerify:
         ("pressure", {"h": 3}, "h"),
         ("pressure", {"families": "semicircle:2"}, "families"),
         ("pressure", {"seed": "x"}, "seed"),
+        # negative seeds reach numpy's generator as seed + N
+        ("pressure", {"seed": -10}, "seed"),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_wrong_types_exit_2(self, tmp_path, capsys, command, spec, key, flags):
@@ -134,6 +144,10 @@ class TestVerify:
         # the file fills family 1, but the spec reads it for family 2
         ("pressure", FAMILY_FILE, matrix_file({(1, 1): np.diag([1.0, -1.0])}),
          ["'fam.json'", "family 2"]),
+        ("pressure", {"families": ["semicircle:2", "semicircle:nan"]}, None,
+         ["family 2", "'semicircle:nan'", "finite"]),
+        ("pressure", FAMILY_FILE, '{"n": 2, "N": 1e999, "families": [[], []]}', ["'fam.json'"]),
+        ("pressure", {"h": "1/0*x[1,1]"}, None, ["'h'"]),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, spec, family_file, names,
@@ -256,3 +270,217 @@ class TestReproducibility:
         m1 = json.loads((out1 / "manifest.json").read_text())
         m2 = json.loads((out2 / "manifest.json").read_text())
         assert m1["config_hash"] != m2["config_hash"]
+
+
+def n3_file() -> str:
+    """A matrix-tuple JSON file at N=3 filling family 2."""
+    layout = FamilyLayout(2, (1, 1), 2.0)
+    return json.dumps(MatrixTuple(layout, 3, sa={(2, 1): np.diag([1.0, 0.0, -1.0])}).to_json())
+
+
+FAMILY_2 = matrix_file({(2, 1): np.diag([1.0, -1.0])})
+U_H = {"h": "u[1] + u'[1]"}
+
+
+class TestResolution:
+    """--verify runs the same resolution as a run, so the two agree."""
+
+    @pytest.mark.parametrize("command, spec, family_file, names", [
+        # a matrix file whose N is not a size the command builds microstates at
+        ("pressure", {**FAMILY_FILE, "Ns": [2]}, n3_file(), ["'fam.json'", "family 2", "N=3"]),
+        ("pressure", {"families": ["semicircle:2", "fam.json"], "Ns": [2, 4]}, FAMILY_2,
+         ["'fam.json'", "family 2", "N=4"]),
+        ("property-suite", {"families": ["semicircle:2", "fam.json"], "Ns": [2, 4]}, FAMILY_2,
+         ["'fam.json'", "family 2", "N=4"]),
+        ("freeness", {"families": ["semicircle:2", "fam.json"], "Ns": [2, 3]}, FAMILY_2,
+         ["'fam.json'", "family 2", "N=3"]),
+        ("gibbs", {"families": ["semicircle:2", "fam.json"], "Ns": [3, 2]}, FAMILY_2,
+         ["'fam.json'", "family 2", "N=3"]),
+        # the default Ns of pressure, [4, 8]
+        ("pressure", {"families": ["semicircle:2", "fam.json"], "Ns": None}, FAMILY_2,
+         ["'fam.json'", "family 2", "N=4"]),
+        # moment targets need measures
+        ("eta", {**FAMILY_FILE, "h": "0*x[1,1]"}, FAMILY_2, ["'fam.json'", "family 2", "eta"]),
+        # unitary letters in h
+        ("pressure", U_H, None, ["'h'", "unitary"]),
+        ("gibbs", U_H, None, ["'h'", "unitary"]),
+        ("relation-check", U_H, None, ["'h'", "unitary"]),
+        ("property-suite", {"h2": "x[1,1]*u[2] + u'[2]*x[1,1]"}, None, ["'h2'", "unitary"]),
+        # non-finite measure parameters
+        *(("pressure", {"families": ["semicircle:2", measure]}, None, ["family 2", repr(measure)])
+          for measure in ("semicircle:nan", "bernoulli:nan", "arcsine:nan,1", "atomic:1@nan")),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_verify_rejects_what_the_run_rejects(self, tmp_path, capsys, command, spec,
+                                                 family_file, names, flags):
+        if family_file is not None:
+            (tmp_path / "fam.json").write_text(family_file)
+        full = {k: v for k, v in {**BASE_SPEC, **spec}.items() if v is not None}
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(full))
+        code, _ = run(tmp_path, command, p, "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:")
+        assert all(name in err for name in names), err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, gibbs", [
+        ("relation-check", {"budget": 5}),
+        ("relation-check", {"kind": "unitary-orbital"}),
+        ("pressure", {"method": "thermodynamic", "budget": 5, "kind": "matrix"}),
+    ])
+    def test_gibbs_keys_a_chain_does_not_read_are_ignored(self, tmp_path, command, gibbs):
+        spec = write_spec(tmp_path, Ns=[2], gibbs={"sweeps": 30, "burn_in": 10, "samples": 10,
+                                                   **gibbs})
+        assert run(tmp_path, command, spec, "v", "--verify")[0] == 0
+        assert run(tmp_path, command, spec, "run")[0] == 0
+
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys, flags):
+        code, _ = run(tmp_path, "pressure", write_spec(tmp_path), "out", "--seed", "-10", *flags)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("validation error: the seed")
+
+    def test_each_family_file_read_once(self, tmp_path, monkeypatch):
+        for k in (1, 2):
+            (tmp_path / f"fam{k}.json").write_text(
+                matrix_file({(k, 1): np.diag([1.0, -1.0])}))
+        spec = write_spec(tmp_path, families=["fam1.json", "fam2.json"], Ns=[2, 2])
+        reads = []
+        real_open = pathlib.Path.open
+
+        def counting_open(path, *args, **kwargs):
+            reads.append(path.name)
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "open", counting_open)
+        code, out = run(tmp_path, "pressure", spec)
+        assert code == 0
+        assert [row["N"] for row in json.loads((out / "report.json").read_text())["per_N"]] == [2, 2]
+        assert sorted(name for name in reads if name.startswith("fam")) == ["fam1.json", "fam2.json"]
+
+    @pytest.mark.parametrize("command", ["sd", "liberation"])
+    def test_sd_problem_built_once(self, tmp_path, monkeypatch, command):
+        builds = []
+        real = sdsolver.SDProblem.__post_init__
+
+        def counting(problem):
+            builds.append(problem)
+            real(problem)
+
+        monkeypatch.setattr(sdsolver.SDProblem, "__post_init__", counting)
+        spec = write_spec(tmp_path, h="0.01*x[1,1]", extra={"sd": {"D": 5}})
+        assert run(tmp_path, command, spec)[0] == 0
+        assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# spec fuzzer: one mutation of a small valid spec per example
+
+FUZZ_SPEC = {
+    "h": "0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]",
+    "families": ["semicircle:2", "bernoulli:1"],
+    "R": 2.0,
+    "Ns": [2],
+    "m": 2,
+    "seed": 1,
+    "basis_degree": 1,
+    "conjugations": 2,
+    "gibbs": {"samples": 4, "budget": 4, "sweeps": 6, "burn_in": 2, "thinning": 2},
+    "sd": {"D": 6, "max_iter": 20},
+}
+# sd and liberation solve a single-family h, which converges in a few sweeps
+FUZZ_SD_H = "0.02*x[1,1]^2 + 0.01*x[2,1]"
+
+TOP_KEYS = ("Ns", "seed", "R", "m", "h", "h2", "basis_degree", "conjugations", "families")
+GIBBS_KEYS = ("kind", "method", "samples", "budget", "beta", "eps", "sweeps", "burn_in",
+              "thinning")
+SD_KEYS = ("D", "damping", "max_iter", "tol", "picard")
+BAD_VALUES = ("x", 0, -1, -2.5, math.nan, math.inf, -math.inf, True, None, [], {})
+
+FAMILY_FILES = {
+    "not json": "not json",
+    "no families key": json.dumps({"N": 2}),
+    "not Hermitian": json.dumps(
+        {"n": 2, "N": 2, "families": [[], [[[0, 0], [1, 0], [0, 0], [0, 0]]]]}),
+    "N=3": n3_file(),
+    "fills family 1": matrix_file({(1, 1): np.diag([1.0, -1.0])}),
+    "valid": FAMILY_2,
+}
+
+params = st.sampled_from(["0", "1", "2", "-1", "0.5", "3", "nan", "inf", "-inf", "x"])
+measures = st.one_of(
+    st.builds("semicircle:{}".format, params),
+    st.builds("bernoulli:{}".format, params),
+    st.builds("arcsine:{},{}".format, params, params),
+    st.builds("atomic:{}@{},{}@{}".format, params, params, params, params),
+    st.builds("atomic:1@{}".format, params),
+)
+# (letter, its adjoint); x[3,1] is outside the two-family layout
+letters = st.sampled_from([("x[1,1]", "x[1,1]"), ("x[2,1]", "x[2,1]"), ("z[1,1]", "z[1,1]"),
+                           ("z[2,1]", "z[2,1]"), ("u[1]", "u'[1]"), ("u'[2]", "u[2]"),
+                           ("x[3,1]", "x[3,1]")])
+
+
+def term(coeff: str, word: list, with_adjoint: bool) -> str:
+    """c*w, or c*w + c*w*, so that some drawn h are self-adjoint."""
+    text = f"{coeff}*" + "*".join(letter for letter, _ in word)
+    if with_adjoint:
+        text += f" + {coeff}*" + "*".join(adj for _, adj in reversed(word))
+    return text
+
+
+terms = st.builds(term, st.sampled_from(["0.05", "-0.1", "1/3"]),
+                  st.lists(letters, min_size=1, max_size=3), st.booleans())
+polys = st.lists(terms, min_size=1, max_size=2).map(" + ".join)
+
+mutations = st.one_of(
+    st.tuples(st.just("top"), st.sampled_from(TOP_KEYS), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.just("gibbs"), st.sampled_from(GIBBS_KEYS), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.just("sd"), st.sampled_from(SD_KEYS), st.sampled_from(BAD_VALUES)),
+    st.tuples(st.just("unknown"), st.sampled_from(["gibbs", "sd"]), st.just("colour")),
+    st.tuples(st.just("measure"), st.sampled_from([0, 1]), measures),
+    st.tuples(st.just("file"), st.sampled_from([0, 1]), st.sampled_from(sorted(FAMILY_FILES))),
+    st.tuples(st.just("Ns"), st.just("Ns"), st.lists(st.integers(-1, 4), max_size=3)),
+    st.tuples(st.just("h"), st.sampled_from(["h", "h2"]), polys),
+)
+
+
+def mutate(spec: dict, mutation, directory: Path) -> dict:
+    where, key, value = mutation
+    spec = json.loads(json.dumps(spec))
+    if where in ("top", "Ns", "h"):
+        spec[key] = value
+    elif where in ("gibbs", "sd"):
+        spec[where][key] = value
+    elif where == "unknown":
+        spec[key][value] = 1
+    elif where == "measure":
+        spec["families"][key] = value
+    else:
+        (directory / "fam.json").write_text(FAMILY_FILES[value])
+        spec["families"][key] = "fam.json"
+    return spec
+
+
+def quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+class TestSpecFuzz:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(st.sampled_from(sorted(COMMANDS)), mutations)
+    def test_verify_and_run_agree_on_exit_codes(self, command, mutation):
+        base = dict(FUZZ_SPEC, h=FUZZ_SD_H) if command in ("sd", "liberation") else FUZZ_SPEC
+        with tempfile.TemporaryDirectory() as tmp:
+            directory = Path(tmp)
+            spec_path = directory / "spec.json"
+            spec_path.write_text(json.dumps(mutate(base, mutation, directory)))
+            argv = [command, "--spec", str(spec_path), "--out", str(directory / "out")]
+            verified = quiet_main(argv + ["--verify"])
+            ran = quiet_main(argv)
+        assert verified in (0, 2)
+        assert ran in (0, 2, 3)
+        assert (verified == 2) == (ran == 2)

@@ -116,6 +116,17 @@ class TestSpectralMeasure:
         with pytest.raises(ValueError):
             SpectralMeasure.from_string("cauchy:1")
 
+    @pytest.mark.parametrize("text", ["semicircle:nan", "semicircle:inf", "bernoulli:nan",
+                                      "arcsine:nan,1", "arcsine:-inf,1", "atomic:1@nan",
+                                      "atomic:nan@1"])
+    def test_non_finite_parameters_rejected(self, text):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralMeasure.from_string(text)
+
+    def test_non_finite_sample_rejected(self):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralMeasure.empirical([0.0, math.nan])
+
 
 class TestClipReflect:
     def test_clip_examples(self):
