@@ -561,6 +561,13 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else spec.get("seed", 0)
         if seed < 0:
             raise ValidationError(f"the seed must be a non-negative integer, got {seed}")
+        out = Path(args.out)
+        try:  # before any computation, so a bad --out costs none
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as err:
+            raise ValidationError(
+                f"cannot create the output directory {args.out!r}: {err.strerror or err}"
+            ) from None
         chash = config_hash(spec, seed)
         manifest = {
             "config_hash": chash,
@@ -579,13 +586,13 @@ def main(argv=None) -> int:
             layout = resolved.layout
             checks = {"layout": {"n": layout.n, "r": list(layout.r), "R": layout.R},
                       "checks": resolved.checks, "ok": True, "config_hash": chash}
-            write_outputs(Path(args.out), checks, {}, manifest)
+            write_outputs(out, checks, {}, manifest)
             print(f"ok: spec valid (config {chash[:12]})")
             return EXIT_OK
         report, traces, code = COMMANDS[args.command](resolved, seed)
         report["config_hash"] = chash
         report["tolerances"] = TOLERANCES
-        write_outputs(Path(args.out), report, traces, manifest)
+        write_outputs(out, report, traces, manifest)
         if code == EXIT_NONCONVERGENCE:
             print("non-convergence: partial artifacts written", file=sys.stderr)
         else:

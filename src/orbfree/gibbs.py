@@ -3,6 +3,10 @@ ensemble on U(N)^n with density proportional to exp(-N^2 tr h(V Xi V*))
 against Haar measure, and the matrix ensemble on tuples of Hermitian
 matrices with operator norm at most R against the uniform reference.
 
+Every chain runs through one sweep kernel over stacked (B, N, N) arrays: a
+lone ``run`` is a batch of one, and ``log_partition`` advances its whole
+beta ladder in lockstep.  The energy comes from a plan compiled once from h.
+
 Also provides mean tracial states, log-partition estimators (direct and
 thermodynamic integration), and microstate-set occupancy fractions.
 """
@@ -11,11 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, gue, haar_unitary, spectral_reflect, trace_evaluate
+from .matrices import MatrixTuple, gue, haar_unitary, spectral_reflect
 from .moments import (
     MomentTable,
     empirical_state,
@@ -73,12 +78,16 @@ class GibbsConfig:
     def layout(self):
         return self.h.layout
 
+    @cached_property
+    def _plan(self) -> "_Plan":
+        return _Plan(self)
+
 
 @dataclass
 class GibbsChain:
     config: GibbsConfig
     state: MatrixTuple
-    energy: float  # energy(state, config), carried so each state is scored once
+    raw: float  # Re tr_N h of state, carried so each state is scored once
     eps: float
     rng: np.random.Generator
     sweep: int = 0
@@ -86,11 +95,21 @@ class GibbsChain:
     proposed: int = 0
     energy_trace: list = field(default_factory=list)  # (sweep, beta, energy, acc rate)
     samples: list = field(default_factory=list)  # thinned post-burn-in states
+    sample_raws: list = field(default_factory=list)  # raw of each retained state
     energies: list = field(default_factory=list)  # post-burn-in per-sweep energies
+
+    @property
+    def energy(self) -> float:
+        """energy(state, config), formed from the carried raw value."""
+        return _energy(self.config, self.config.beta, self.raw)
 
     @property
     def acceptance_rate(self) -> float:
         return self.accepted / self.proposed if self.proposed else 0.0
+
+
+def _energy(config: GibbsConfig, beta: float, raw: float) -> float:
+    return 0.0 if config.h.is_zero else config.N**2 * beta * raw
 
 
 def _effective_tuple(state: MatrixTuple, config: GibbsConfig) -> MatrixTuple:
@@ -100,15 +119,150 @@ def _effective_tuple(state: MatrixTuple, config: GibbsConfig) -> MatrixTuple:
     return state
 
 
-def energy(state: MatrixTuple, config: GibbsConfig, beta: float | None = None) -> float:
-    """N^2 * beta * Re tr_N h on the ensemble's effective tuple."""
+# ---------------------------------------------------------------------------
+# the energy plan and the sweep kernel
+
+
+def _slots(config: GibbsConfig) -> list:
+    """The update slots: family i (its unitary) for the orbital kind,
+    (family, index) for the matrix kind."""
+    lay = config.layout
+    if config.kind == "unitary-orbital":
+        return list(range(1, lay.n + 1))
+    return [(i, j) for i in range(1, lay.n + 1) for j in range(1, lay.r[i - 1] + 1)]
+
+
+def _slot_arrays(state: MatrixTuple, config: GibbsConfig) -> dict:
+    """The matrices a chain moves: the orbital kind's unitaries, the matrix
+    kind's self-adjoint slots."""
+    return state.unitaries if config.kind == "unitary-orbital" else state.sa
+
+
+def _stack(states: Sequence[MatrixTuple], config: GibbsConfig) -> dict:
+    """The states as one (B, N, N) array per update slot."""
+    return {slot: np.stack([_slot_arrays(s, config)[slot] for s in states])
+            for slot in _slots(config)}
+
+
+class _Batch(MatrixTuple):
+    """B states of one ensemble as one tuple whose update slots hold the
+    stacked (B, N, N) arrays: the form in which the sweep kernel hands a
+    batch to ``energy``."""
+
+    @classmethod
+    def of(cls, stack: dict, config: GibbsConfig) -> "_Batch":
+        if config.kind == "unitary-orbital":
+            return cls._unchecked(config.layout, config.N, config.microstates.sa, stack, False)
+        return cls._unchecked(config.layout, config.N, stack, {}, False)
+
+
+def _unstack(stack: dict, k: int, config: GibbsConfig) -> MatrixTuple:
+    """State k of a stacked batch."""
+    if config.kind == "unitary-orbital":
+        return config.microstates.with_unitaries([a[k] for a in stack.values()])
+    return MatrixTuple._unchecked(config.layout, config.N, {s: a[k] for s, a in stack.items()},
+                                  {}, check_norm=False)
+
+
+def _per_state(a: np.ndarray, B: int) -> np.ndarray:
+    """B copies of a matrix, each laid out in memory as a is: the trace
+    sum(head^T * tail) adds the product in its memory order, which follows
+    the operands' layout."""
+    if a.flags.c_contiguous:
+        return np.repeat(a[None], B, axis=0)
+    return np.repeat(a.T[None], B, axis=0).swapaxes(-1, -2)
+
+
+class _Plan:
+    """tr_N h compiled once for one ensemble, evaluated on a stacked batch.
+
+    Each coefficient is converted to complex once, and each letter h reads
+    is resolved as ``MatrixTuple.lookup`` resolves it on the effective
+    tuple.  The arithmetic is that of ``trace_word`` and ``trace_evaluate``
+    (conjugation (V A) V*, the head multiplied left to right, sum(head^T *
+    tail) / N, terms added in order from 0j, Python's complex product and
+    quotient written out on the parts), so each state of a batch scores bit
+    for bit as it would alone.
+    """
+
+    def __init__(self, config: GibbsConfig):
+        self.N = config.N
+        self.terms = []
+        for w, c in config.h.terms.items():
+            c = complex(c)
+            self.terms.append((w, c.real, c.imag))
+        self.letters = {}
+        for w, _, _ in self.terms:
+            for letter in w:
+                self.letters[letter] = self._resolve(letter, config)
+
+    @staticmethod
+    def _resolve(letter, config: GibbsConfig):
+        """The letter as a function of the stacked state."""
+        kind, i, j = letter
+        if config.kind == "matrix":
+            if kind in ("x", "z"):
+                return lambda stack: stack[(i, j)]
+            raise ValueError(f"tuple has no unitary slot {i}")
+        micro = config.microstates
+        if kind in ("u", "U"):
+            const = micro.lookup(letter)
+            return lambda stack: _per_state(const, len(stack[1]))
+        try:
+            a = micro.sa[(i, j)]
+        except KeyError:
+            raise ValueError(f"tuple has no self-adjoint slot ({i},{j})") from None
+        u = micro.unitaries.get(i) if kind == "x" else None
+
+        def conjugated(stack):
+            v = stack[i]
+            out = (v @ a) @ v.conj().swapaxes(-1, -2)
+            return out if u is None else (u @ out) @ u.conj().T
+
+        return conjugated
+
+    def raw(self, stack: dict) -> np.ndarray:
+        """Re tr_N h on each state of the batch, checking that the imaginary
+        part is negligible."""
+        N = self.N
+        mats = {letter: f(stack) for letter, f in self.letters.items()}
+        B = len(next(iter(stack.values())))
+        re = np.zeros(B)
+        im = np.zeros(B)
+        for w, cr, ci in self.terms:
+            if not w:
+                vr, vi = 1.0, 0.0
+            else:
+                if len(w) == 1:
+                    s = np.trace(mats[w[0]], axis1=-2, axis2=-1)
+                else:
+                    head = mats[w[0]]
+                    for letter in w[1:-1]:
+                        head = head @ mats[letter]
+                    s = (head.swapaxes(-1, -2) * mats[w[-1]]).sum(axis=(-2, -1))
+                vr = (s.real + s.imag * 0.0) / N
+                vi = (s.imag - s.real * 0.0) / N
+            re = re + (cr * vr - ci * vi)
+            im = im + (cr * vi + ci * vr)
+        bad = np.abs(im) > _IMAG_TOL * np.fmax(1.0, np.abs(re))
+        if bad.any():
+            raise ValueError(f"energy has non-negligible imaginary part {im[bad.argmax()]}")
+        return re
+
+
+def energy(state: MatrixTuple, config: GibbsConfig, beta: float | None = None):
+    """N^2 * beta * Re tr_N h on the ensemble's effective tuple of a state.
+
+    The sweep kernel passes a batch of B states instead and gets back
+    their B raw values Re tr_N h from one evaluation; each chain forms its
+    own energy N^2 beta raw.
+    """
+    if isinstance(state, _Batch):
+        return config._plan.raw(_slot_arrays(state, config))
     if config.h.is_zero:
         return 0.0
-    beta = config.beta if beta is None else beta
-    val = trace_evaluate(config.h, _effective_tuple(state, config))
-    if abs(val.imag) > _IMAG_TOL * max(1.0, abs(val.real)):
-        raise ValueError(f"energy has non-negligible imaginary part {val.imag}")
-    return config.N**2 * beta * val.real
+    raw = float(config._plan.raw(_stack([state], config))[0])
+    return _energy(config, config.beta if beta is None else beta, raw)
 
 
 def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple:
@@ -123,75 +277,100 @@ def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple
     return MatrixTuple._unchecked(lay, config.N, sa, {}, check_norm=False)
 
 
-def _propose(chain: GibbsChain, slot) -> MatrixTuple:
-    """The chain's state with one update slot moved.  Orbital kind: slot i
-    rotates unitary i by exp(i eps H), H drawn from the GUE.  Matrix kind:
-    slot (i, j) moves by eps times a GUE draw, its spectrum reflected back
-    into [-R, R]."""
-    config = chain.config
-    state = chain.state
-    if config.kind == "unitary-orbital":
-        w, vecs = np.linalg.eigh(gue(config.N, chain.rng))
-        rot = (vecs * np.exp(1j * chain.eps * w)) @ vecs.conj().T
-        return state.with_unitaries(
-            [rot @ state.unitaries[k] if k == slot else state.unitaries[k]
-             for k in range(1, config.layout.n + 1)]
-        )
-    sa = dict(state.sa)
-    sa[slot] = spectral_reflect(sa[slot] + chain.eps * gue(config.N, chain.rng), config.R)
-    return MatrixTuple._unchecked(config.layout, config.N, sa, {}, check_norm=False)
+def _start(config: GibbsConfig, rng: np.random.Generator) -> GibbsChain:
+    """A chain at its initial state; its raw value is set by _run_chains."""
+    return GibbsChain(config, _initial_state(config, rng), math.nan, config.eps, rng)
+
+
+def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> dict:
+    """One Metropolis sweep over all update slots of every chain in
+    lockstep; returns the new stack.  Orbital kind: slot i rotates unitary
+    i by exp(i eps H), H drawn from the GUE.  Matrix kind: slot (i, j)
+    moves by eps times a GUE draw, its spectrum reflected back into
+    [-R, R].  Each chain draws from its own generator in the order a lone
+    chain would, its accept uniform only when the energy rises."""
+    N = config.N
+    eps = np.array([chain.eps for chain in chains])
+    scales = [N**2 * chain.config.beta for chain in chains]  # energy = scale * raw
+    for slot in _slots(config):
+        draws = gue(N, [chain.rng for chain in chains])
+        if config.kind == "unitary-orbital":
+            w, vecs = np.linalg.eigh(draws)
+            phase = np.exp(1j * eps[:, None] * w)[:, None, :]
+            moved = ((vecs * phase) @ vecs.conj().swapaxes(-1, -2)) @ stack[slot]
+        else:
+            moved = spectral_reflect(stack[slot] + eps[:, None, None] * draws, config.R)
+        raws = energy(_Batch.of({**stack, slot: moved}, config), config).tolist()
+        accept = []
+        for chain, scale, raw in zip(chains, scales, raws):
+            e_new = scale * raw
+            e_cur = scale * chain.raw
+            chain.proposed += 1
+            ok = e_new <= e_cur or chain.rng.random() < math.exp(e_cur - e_new)
+            if ok:
+                chain.raw = raw
+                chain.accepted += 1
+            accept.append(ok)
+        stack = {**stack, slot: np.where(np.array(accept)[:, None, None], moved, stack[slot])}
+    for chain in chains:
+        chain.sweep += 1
+    return stack
+
+
+def _run_chains(chains: Sequence[GibbsChain], config: GibbsConfig, record: bool) -> None:
+    """Run the chains' schedule in lockstep: burn-in with per-chain
+    step-size auto-tuning (frozen afterwards, preserving detailed
+    balance), then thinned sampling, keeping the raw value of each
+    retained state.  With record, each chain also keeps its energy trace,
+    its post-burn-in energies and the retained states themselves.  The
+    chains share config's ensemble, h and schedule, and may differ in
+    beta, seed and step size."""
+    stack = _stack([chain.state for chain in chains], config)
+    for chain, raw in zip(chains, energy(_Batch.of(stack, config), config).tolist()):
+        chain.raw = raw
+    tune_interval = 20
+    marks = [(0, 0)] * len(chains)  # (accepted, proposed) when each window opened
+    for sweep in range(config.sweeps):
+        stack = _sweep(chains, stack, config)
+        in_burn = sweep < config.burn_in
+        keep = not in_burn and (sweep - config.burn_in) % config.thinning == 0
+        for k, chain in enumerate(chains):
+            beta = chain.config.beta
+            flat = config.h.is_zero or beta == 0.0
+            if in_burn and not flat and (sweep + 1) % tune_interval == 0:
+                acc0, prop0 = marks[k]
+                if chain.proposed > prop0:
+                    rate = (chain.accepted - acc0) / (chain.proposed - prop0)
+                    if rate < 0.30:
+                        chain.eps *= 0.7
+                    elif rate > 0.50:
+                        chain.eps *= 1.3
+                    marks[k] = (chain.accepted, chain.proposed)
+            if record:
+                e = chain.energy
+                chain.energy_trace.append((sweep, beta, e, chain.acceptance_rate))
+                if not in_burn:
+                    chain.energies.append(e)
+            if keep:
+                chain.sample_raws.append(chain.raw)
+                if record:
+                    chain.samples.append(_unstack(stack, k, config))
+    for k, chain in enumerate(chains):
+        chain.state = _unstack(stack, k, config)
 
 
 def step(chain: GibbsChain) -> GibbsChain:
     """One Metropolis sweep over all update slots; mutates the chain."""
     config = chain.config
-    lay = config.layout
-    if config.kind == "unitary-orbital":
-        slots = range(1, lay.n + 1)
-    else:
-        slots = [(i, j) for i in range(1, lay.n + 1) for j in range(1, lay.r[i - 1] + 1)]
-    for slot in slots:
-        proposal = _propose(chain, slot)
-        e_new = energy(proposal, config)
-        chain.proposed += 1
-        e_cur = chain.energy
-        if e_new <= e_cur or chain.rng.random() < math.exp(e_cur - e_new):
-            chain.state = proposal
-            chain.energy = e_new
-            chain.accepted += 1
-    chain.sweep += 1
+    chain.state = _unstack(_sweep([chain], _stack([chain.state], config), config), 0, config)
     return chain
 
 
 def run(config: GibbsConfig, rng: np.random.Generator | None = None) -> GibbsChain:
     """Run a full chain: burn-in with step-size auto-tuning (frozen
     afterwards, preserving detailed balance), then thinned sampling."""
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
-    state = _initial_state(config, rng)
-    chain = GibbsChain(config, state, energy(state, config), config.eps, rng)
-    tune_interval = 20
-    window_acc = 0
-    window_prop = 0
-    for sweep in range(config.sweeps):
-        acc0, prop0 = chain.accepted, chain.proposed
-        step(chain)
-        window_acc += chain.accepted - acc0
-        window_prop += chain.proposed - prop0
-        in_burn = sweep < config.burn_in
-        flat = config.h.is_zero or config.beta == 0.0
-        if in_burn and not flat and (sweep + 1) % tune_interval == 0 and window_prop:
-            rate = window_acc / window_prop
-            if rate < 0.30:
-                chain.eps *= 0.7
-            elif rate > 0.50:
-                chain.eps *= 1.3
-            window_acc = window_prop = 0
-        chain.energy_trace.append((sweep, config.beta, chain.energy, chain.acceptance_rate))
-        if not in_burn:
-            chain.energies.append(chain.energy)
-            if (sweep - config.burn_in) % config.thinning == 0:
-                chain.samples.append(chain.state)
+    chain = _start(config, np.random.default_rng(config.seed) if rng is None else rng)
+    _run_chains([chain], config, record=True)
     return chain
 
 
@@ -232,6 +411,21 @@ def _mean_and_stderr(xs: Sequence[float]) -> tuple[float, float]:
     return float(xs.mean()), float(xs.std(ddof=1) / math.sqrt(n))
 
 
+def _ladder(config: GibbsConfig, beta_grid: int, record: bool = False) -> list[GibbsChain]:
+    """The beta ladder of thermodynamic integration, run in lockstep: chain k
+    at the k-th of beta_grid equally spaced betas in [0, 1], seeded
+    config.seed + 1000 k, equal bit for bit to a lone run of its config.
+    The estimate reads only the raw values of the retained states; the
+    traces and states of a whole ladder, held at once, would cost
+    beta_grid times a lone chain's memory, so they are kept only with
+    record."""
+    subs = [replace(config, beta=float(b), seed=config.seed + 1000 * k)
+            for k, b in enumerate(np.linspace(0.0, 1.0, beta_grid))]
+    chains = [_start(sub, np.random.default_rng(sub.seed)) for sub in subs]
+    _run_chains(chains, config, record)
+    return chains
+
+
 def log_partition(
     config: GibbsConfig,
     method: str = "thermodynamic",
@@ -250,9 +444,8 @@ def log_partition(
     if config.h.is_zero:
         return 0.0, 0.0
     if method == "direct":
-        ref = replace(config, beta=0.0)
-        chain = run(ref)
-        raw = [energy(s, config, beta=1.0) for s in chain.samples]
+        chain = run(replace(config, beta=0.0))
+        raw = [_energy(config, 1.0, r) for r in chain.sample_raws]
         spread = max(raw) - min(raw)
         if spread > variance_threshold:
             raise RuntimeError(
@@ -267,16 +460,8 @@ def log_partition(
     if method != "thermodynamic":
         raise ValueError(f"unknown method {method!r}")
 
-    betas = np.linspace(0.0, 1.0, beta_grid)
-    means = []
-    errs = []
-    for k, b in enumerate(betas):
-        sub = replace(config, beta=float(b), seed=config.seed + 1000 * k)
-        chain = run(sub)
-        raw = [energy(s, config, beta=1.0) for s in chain.samples]
-        mu, se = _mean_and_stderr(raw)
-        means.append(mu)
-        errs.append(se)
+    means, errs = zip(*(_mean_and_stderr([_energy(config, 1.0, r) for r in chain.sample_raws])
+                        for chain in _ladder(config, beta_grid)))
     w = np.full(beta_grid, 1.0 / (beta_grid - 1))
     w[0] *= 0.5
     w[-1] *= 0.5

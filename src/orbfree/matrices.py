@@ -95,8 +95,9 @@ class MatrixTuple:
                                       {i + 1: v for i, v in enumerate(unitaries)},
                                       self.check_norm)
 
-    @staticmethod
+    @classmethod
     def _unchecked(
+        cls,
         layout: FamilyLayout,
         N: int,
         sa: dict[tuple[int, int], np.ndarray],
@@ -105,7 +106,7 @@ class MatrixTuple:
     ) -> "MatrixTuple":
         """Build without validation, from matrices the caller has already
         made Hermitian (and unitary) at dimension N; the memo starts empty."""
-        out = MatrixTuple.__new__(MatrixTuple)
+        out = cls.__new__(cls)
         out.layout = layout
         out.N = N
         out.sa = sa
@@ -318,13 +319,17 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def gue(N: int, rng: np.random.Generator) -> np.ndarray:
+def gue(N: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """GUE matrix normalized so the spectral law tends to the standard
-    semicircle (second moment 1)."""
+    semicircle (second moment 1).  Given a sequence of generators, a stacked
+    (B, N, N) batch whose matrix k is gue(N, rng[k]) bit for bit."""
     if N < 1:
         raise ValueError("dimension must be >= 1")
-    a = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
-    return (a + a.conj().T) / (2.0 * math.sqrt(N))
+    if isinstance(rng, np.random.Generator):
+        a = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    else:
+        a = np.stack([g.standard_normal((N, N)) + 1j * g.standard_normal((N, N)) for g in rng])
+    return (a + a.conj().swapaxes(-1, -2)) / (2.0 * math.sqrt(N))
 
 
 def quantile_microstate(mu: SpectralMeasure, N: int) -> np.ndarray:
@@ -343,25 +348,21 @@ def spectral_clip(a: np.ndarray, S: float) -> np.ndarray:
     return (vecs * vals) @ vecs.conj().T
 
 
-def _reflect_scalar(x: float, S: float) -> float:
-    # fold the line into [-S, S] by repeated reflection at the endpoints
-    period = 4.0 * S
-    y = (x + S) % period
-    if y < 0:
-        y += period
-    if y > 2.0 * S:
-        y = period - y
-    return y - S
-
-
 def spectral_reflect(a: np.ndarray, S: float) -> np.ndarray:
-    """Reflect the spectrum of a Hermitian matrix into [-S, S]; preserves
-    Lebesgue measure on eigenvalues, unlike clipping."""
+    """Reflect the spectrum of a Hermitian matrix, or of each matrix of a
+    stacked (B, N, N) batch, into [-S, S] by folding the line at the
+    endpoints; preserves Lebesgue measure on eigenvalues, unlike clipping."""
     if S <= 0:
         raise ValueError("cutoff must be positive")
     vals, vecs = np.linalg.eigh(a)
-    vals = np.array([_reflect_scalar(v, S) for v in vals])
-    return (vecs * vals) @ vecs.conj().T
+    return (vecs * _fold(vals, S)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
+
+
+def _fold(x: np.ndarray, S: float) -> np.ndarray:
+    """Fold the line into [-S, S] by repeated reflection at the endpoints."""
+    period = 4.0 * S
+    y = np.remainder(x + S, period)
+    return np.where(y > 2.0 * S, period - y, y) - S
 
 
 # ---------------------------------------------------------------------------

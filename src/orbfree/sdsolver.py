@@ -77,7 +77,7 @@ class SDProblem:
             warnings.warn(
                 f"coefficient magnitude {tmax:.3g} exceeds the small-coefficient "
                 f"regime {SMALLNESS_THRESHOLD}; convergence is not expected",
-                stacklevel=2,
+                stacklevel=3,  # past __post_init__ and the dataclass __init__
             )
 
     def marginal(self, family: int, block: Word) -> complex:

@@ -148,6 +148,9 @@ class TestVerify:
          ["family 2", "'semicircle:nan'", "finite"]),
         ("pressure", FAMILY_FILE, '{"n": 2, "N": 1e999, "families": [[], []]}', ["'fam.json'"]),
         ("pressure", {"h": "1/0*x[1,1]"}, None, ["'h'"]),
+        # "--out" here is the flag, not a spec key: a directory below a regular file
+        ("pressure", {"--out": "fam.json/out"}, "a regular file",
+         ["output directory", "fam.json/out", "Not a directory"]),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, spec, family_file, names,
@@ -155,8 +158,8 @@ class TestVerify:
         if family_file is not None:
             (tmp_path / "fam.json").write_text(family_file)
         p = tmp_path / "spec.json"
-        p.write_text(json.dumps({**BASE_SPEC, **spec}))
-        code, _ = run(tmp_path, command, p, "out", *flags)
+        p.write_text(json.dumps({**BASE_SPEC, **{k: v for k, v in spec.items() if k != "--out"}}))
+        code, _ = run(tmp_path, command, p, spec.get("--out", "out"), *flags)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("validation error:")

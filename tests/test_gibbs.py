@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from orbfree.gibbs import (
     run,
     step,
 )
-from orbfree.matrices import MatrixTuple, SpectralMeasure, quantile_microstate
+from orbfree.matrices import (
+    MatrixTuple,
+    SpectralMeasure,
+    gue,
+    haar_unitary,
+    quantile_microstate,
+    trace_evaluate,
+)
 from orbfree.moments import (
     MomentTable,
     free_product,
@@ -142,6 +150,137 @@ class TestCarriedEnergy:
         assert 0 < chain.accepted < chain.proposed
         assert chain.energy == energy(chain.state, config)
         assert chain.energy == chain.energy_trace[-1][2]
+
+
+def same_state(a, b):
+    return all(
+        x.keys() == y.keys() and all(np.array_equal(x[k], y[k]) for k in x)
+        for x, y in ((a.sa, b.sa), (a.unitaries, b.unitaries))
+    )
+
+
+class TestLockstep:
+    @pytest.fixture(params=["unitary-orbital", "matrix"])
+    def config(self, request):
+        h = parse("0.4*x[1,1]*x[2,1] + 0.4*x[2,1]*x[1,1] + 0.1*x[1,1]^2", LAYOUT)
+        settings = dict(sweeps=70, burn_in=40, thinning=3, seed=6)
+        if request.param == "matrix":
+            return GibbsConfig("matrix", 3, h, R=2.0, **settings)
+        return orbital_config(h, 3, **settings)
+
+    def test_ladder_chain_equals_lone_run(self, config):
+        chains = gibbs._ladder(config, 4, record=True)
+        assert [chain.config.beta for chain in chains] == [0.0, 1 / 3, 2 / 3, 1.0]
+        assert any(chain.eps != config.eps for chain in chains)  # tuning ran
+        assert 0 < chains[-1].accepted < chains[-1].proposed  # uniforms were drawn
+        for k, chain in enumerate(chains):
+            lone = run(replace(config, beta=chain.config.beta, seed=config.seed + 1000 * k))
+            assert chain.config.seed == lone.config.seed
+            assert chain.energy_trace == lone.energy_trace
+            assert chain.energies == lone.energies
+            assert chain.eps == lone.eps
+            assert (chain.accepted, chain.proposed) == (lone.accepted, lone.proposed)
+            assert chain.sample_raws == lone.sample_raws
+            assert len(chain.samples) == len(lone.samples) > 0
+            for a, b in zip(chain.samples + [chain.state], lone.samples + [lone.state]):
+                assert same_state(a, b)
+
+    def test_step_continues_a_run(self, config):
+        # step is the kernel with a batch of one: a chain stepped on after
+        # its run moves as the kernel moves it, scoring each proposal once
+        chain = run(config)
+        proposed = chain.proposed
+        step(chain)
+        assert chain.proposed == proposed + len(gibbs._slots(config))
+        assert chain.energy == energy(chain.state, config)
+
+
+class TestPlan:
+    """The compiled energy equals trace_evaluate on the effective tuple,
+    bit for bit, one state at a time and stacked."""
+
+    LAYOUT21 = FamilyLayout(n=2, r=(2, 1), R=2.0)
+    H = ("x[1,1]*x[2,1]*x[1,2]*x[2,1] + 1/3*z[1,1]*x[2,1]*z[1,2] + 0.25*x[1,2]"
+         " + (0.1+0.2i)*x[1,1]*x[2,1] + 0.3*x[2,1]^3 - 1/7")
+
+    def check(self, cfg, states):
+        want = [trace_evaluate(cfg.h, gibbs._effective_tuple(s, cfg)).real for s in states]
+        assert energy(gibbs._Batch.of(gibbs._stack(states, cfg), cfg), cfg).tolist() == want
+        for s, raw in zip(states, want):
+            assert energy(s, cfg) == cfg.N**2 * cfg.beta * raw
+            assert energy(s, cfg, beta=1.0) == cfg.N**2 * 1.0 * raw
+
+    def h(self, extra=""):
+        h = parse(self.H + extra, self.LAYOUT21)
+        return (h + h.adjoint()).scale(0.5)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8])
+    def test_orbital_with_microstate_unitaries(self, N):
+        rng = np.random.default_rng(N)
+        sa = {slot: 0.5 * gue(N, rng) for slot in ((1, 1), (1, 2), (2, 1))}
+        # a unitary for family 1 only: its x letters read u z u*, its z letters z
+        micro = MatrixTuple(self.LAYOUT21, N, sa=sa, unitaries={1: haar_unitary(N, rng)},
+                            check_norm=False)
+        h = self.h(" + 0.5*u[1]*x[2,1]*u'[1] - u'[1]*x[1,2]*u[1] + u'[1]*z[1,1] + 0.2*u'[1]^2")
+        cfg = GibbsConfig("unitary-orbital", N, h, microstates=micro, beta=0.7)
+        states = [micro.with_unitaries([haar_unitary(N, rng), haar_unitary(N, rng)])
+                  for _ in range(5)]
+        self.check(cfg, states)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8])
+    def test_matrix_kind(self, N):
+        rng = np.random.default_rng(10 + N)
+        cfg = GibbsConfig("matrix", N, self.h(), R=2.0, beta=1.3)
+        states = [MatrixTuple(self.LAYOUT21, N, check_norm=False,
+                              sa={slot: gue(N, rng) for slot in ((1, 1), (1, 2), (2, 1))})
+                  for _ in range(5)]
+        self.check(cfg, states)
+
+
+def golden_config(name):
+    mixed = parse("0.15*x[1,1]*x[2,1] + 0.15*x[2,1]*x[1,1]", LAYOUT)
+    quartic = parse("0.05*x[1,1]*x[2,1]*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]*x[2,1]*x[1,1]"
+                    " + 0.1*x[1,1]^2 + 0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]", LAYOUT)
+    atomic = quantile_microstate(SpectralMeasure.from_string("atomic:0.5@-1,0.5@1"), 2)
+    two_atoms = MatrixTuple(LAYOUT, 2, sa={(1, 1): atomic, (2, 1): atomic})
+    return {
+        "orbital-n2": GibbsConfig("unitary-orbital", 2, mixed, microstates=two_atoms,
+                                  sweeps=300, burn_in=60, thinning=2, seed=3),
+        "orbital-n3-quartic": orbital_config(quartic, 3, sweeps=120, burn_in=30, seed=5),
+        "orbital-n3": orbital_config(mixed.scale(0.2), 3, sweeps=200, burn_in=40, seed=7),
+        "matrix-n3": GibbsConfig("matrix", 3, mixed, R=2.0, sweeps=120, burn_in=30, seed=11),
+        "matrix-n4": GibbsConfig("matrix", 4, mixed.scale(0.05), R=1.5, sweeps=150, burn_in=30,
+                                 seed=13),
+    }[name]
+
+
+class TestGolden:
+    """Values recorded before the sweep kernel ran chains as stacked
+    batches (each chain and each beta of the ladder one after another)."""
+
+    @pytest.mark.parametrize("kind, c, want", [
+        # the tuned step size, the acceptances and the final energy
+        ("unitary-orbital", "0.5", ("0.4681949999999998", 85, "-5.267966081731061")),
+        ("matrix", "2", ("0.17647349999999992", 40, "-176.13669219261735")),
+    ])
+    def test_run(self, kind, c, want):
+        h = parse(f"{c}*x[1,1]*x[2,1] + {c}*x[2,1]*x[1,1]", LAYOUT)
+        settings = dict(eps=1.5, sweeps=130, burn_in=120, seed=2)
+        cfg = (orbital_config(h, 4, **settings) if kind == "unitary-orbital"
+               else GibbsConfig("matrix", 4, h, R=2.0, **settings))
+        chain = run(cfg)
+        assert (repr(chain.eps), chain.accepted, repr(chain.energy)) == want
+
+    @pytest.mark.parametrize("name, method, want", [
+        ("orbital-n2", "thermodynamic", "(0.17081901355205914, 0.029022002140583834)"),
+        ("orbital-n3-quartic", "thermodynamic", "(-0.512419048622428, 0.0322896712035182)"),
+        ("orbital-n3", "direct", "(0.027980360111080294, 0.028653338848208216)"),
+        ("matrix-n3", "thermodynamic", "(1.1878029637491885, 0.15330107450531827)"),
+        ("matrix-n4", "direct", "(0.02096204112785685, 0.007886876399138232)"),
+    ])
+    def test_log_partition(self, name, method, want):
+        kw = {"beta_grid": 5} if method == "thermodynamic" else {}
+        assert repr(log_partition(golden_config(name), method=method, **kw)) == want
 
 
 class TestMeanTracialState:

@@ -8,6 +8,7 @@ from orbfree import gibbs
 from orbfree.matrices import (
     MatrixTuple,
     SpectralMeasure,
+    _fold,
     _trace_evaluate_many,
     double_trace_evaluate,
     evaluate,
@@ -144,6 +145,42 @@ class TestClipReflect:
         a = np.diag([2.5, -2.5, 0.3]).astype(complex)
         r = spectral_reflect(a, 2.0)
         assert np.allclose(np.sort(np.linalg.eigvalsh(r)), [-1.5, 0.3, 1.5])
+
+    def test_gue_batch_draws_as_one_at_a_time(self):
+        for N in (1, 2, 8):
+            seeds = [3, 4, 5]
+            batch = gue(N, [np.random.default_rng(s) for s in seeds])
+            want = np.stack([gue(N, np.random.default_rng(s)) for s in seeds])
+            assert np.array_equal(batch.view(np.int64), want.view(np.int64))
+
+    def test_fold_matches_scalar_reflection(self):
+        def reflect(x, S):  # one value at a time, in Python floats
+            period = 4.0 * S
+            y = (x + S) % period
+            if y < 0:
+                y += period
+            if y > 2.0 * S:
+                y = period - y
+            return y - S
+
+        rng = np.random.default_rng(8)
+        for S in (2.0, 1.0, 0.3, 1e-3):
+            odd = S * np.arange(-41.0, 42.0, 2.0)
+            x = np.concatenate([
+                rng.normal(0.0, 10.0 * S, 100_000), rng.uniform(-1e6, 1e6, 100_000),
+                odd, 2.0 * odd, np.nextafter(odd, np.inf), np.nextafter(odd, -np.inf),
+                [S, -S, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300],
+            ])
+            want = np.array([reflect(float(v), S) for v in x])
+            assert np.array_equal(_fold(x, S).view(np.int64), want.view(np.int64))
+
+    def test_reflect_stacked_equals_one_at_a_time(self):
+        rng = np.random.default_rng(9)
+        for N in (1, 2, 8, 12):
+            stack = np.stack([3.0 * gue(N, rng) for _ in range(5)])
+            batch = spectral_reflect(stack, 1.5)
+            for a, r in zip(stack, batch):
+                assert np.array_equal(spectral_reflect(a, 1.5), r)
 
     def test_reflect_keeps_hermitian(self):
         rng = np.random.default_rng(4)

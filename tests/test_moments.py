@@ -30,7 +30,15 @@ from orbfree.moments import (
     table_from_measure,
     x_letters,
 )
-from orbfree.poly import FamilyLayout, adjoint_word, letter_x, letter_z, letter_u, letter_ustar
+from orbfree.poly import (
+    FamilyLayout,
+    adjoint_word,
+    letter_u,
+    letter_ustar,
+    letter_x,
+    letter_z,
+    reduce_word,
+)
 
 LAYOUT2 = FamilyLayout(n=2, r=(1, 1), R=2.0)
 X1 = letter_x(1, 1)
@@ -402,6 +410,16 @@ class TestProperties:
     def test_canonical_key_is_a_fixed_point(self, w):
         key, _ = canonical_word(w)
         assert canonical_word(key) == (key, False)
+
+    @PROPERTY_SETTINGS
+    @given(st.lists(st.tuples(words.map(reduce_word).filter(bool),
+                              st.complex_numbers(allow_nan=False, allow_infinity=False)),
+                    max_size=8))
+    def test_json_round_trip(self, entries):
+        t = MomentTable(LAYOUT2, "x", 7, LAYOUT2.R)
+        for w, v in entries:
+            t.set(w, v)
+        assert MomentTable.from_json(json.loads(json.dumps(t.to_json()))) == t
 
     @PROPERTY_SETTINGS
     @given(st.lists(unit_reals, min_size=1, max_size=6))

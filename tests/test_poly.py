@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbfree.poly import (
     QC,
@@ -283,3 +286,31 @@ class TestNormBound:
     def test_unitary_letters_count_one(self):
         p = NCPoly.monomial(LAYOUT, [letter_u(1), letter_z(1, 1), letter_ustar(1)])
         assert norm_bound(p, 3.0) == 3.0
+
+
+# ---------------------------------------------------------------------------
+# properties over drawn inputs
+
+ROUND_TRIP_LETTERS = [letter_x(1, 1), letter_x(1, 2), letter_x(2, 1), letter_z(1, 1),
+                      letter_u(1), letter_ustar(1), letter_u(2), letter_ustar(2)]
+# exact rationals, and floats as the exact rationals they are
+coefficient_parts = st.one_of(
+    st.fractions(), st.floats(allow_nan=False, allow_infinity=False).map(Fraction))
+
+
+@st.composite
+def polys(draw):
+    p = NCPoly.zero(LAYOUT)
+    terms = draw(st.lists(st.tuples(st.lists(st.sampled_from(ROUND_TRIP_LETTERS), max_size=5),
+                                    st.builds(QC, coefficient_parts, coefficient_parts)),
+                          max_size=6))
+    for letters, c in terms:
+        p = p + NCPoly.monomial(LAYOUT, letters, c)
+    return p
+
+
+class TestProperties:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(polys())
+    def test_parse_inverts_format_poly(self, p):
+        assert parse(format_poly(p), LAYOUT) == p

@@ -46,6 +46,11 @@ class TestProblem:
         with pytest.warns(UserWarning):
             SDProblem(LAYOUT, small_h(0.5), [MU, MU], D=8)
 
+    def test_large_t_warning_points_at_the_caller(self):
+        with pytest.warns(UserWarning, match="small-coefficient") as record:
+            SDProblem(LAYOUT, small_h(0.5), [MU, MU], D=8)
+        assert [w.filename for w in record] == [__file__]
+
 
 class TestFreeHaarOracle:
     def test_unitary_conjugation_invariance(self):
