@@ -429,14 +429,21 @@ def cmd_sd(r: Resolved, seed: int):
         "converged": rep.converged,
         "iterations": rep.iterations,
         "residual": rep.residual,
+        "plan_residual": rep.plan_residual,
         "solution": table,
         "pushforward": sd_mod.pushforward_x(table, r.sd, r.m),
     }
-    rows = [["iteration", "max_delta"]] + [
-        [k, repr(d)] for k, d in enumerate(rep.delta_history)
-    ]
     code = EXIT_OK if rep.converged else EXIT_NONCONVERGENCE
-    return report, {"sd_convergence.csv": rows}, code
+    return report, {"sd_convergence.csv": _convergence_rows(rep)}, code
+
+
+def _convergence_rows(rep: sd_mod.SDReport) -> list[list]:
+    """One row per sweep: its max update and its ratio to the previous
+    sweep's (empty on the first sweep)."""
+    ratios = [""] + [repr(q) for q in rep.contraction_ratios]
+    return [["iteration", "max_delta", "contraction_ratio"]] + [
+        [k, repr(d), q] for k, (d, q) in enumerate(zip(rep.delta_history, ratios))
+    ]
 
 
 def cmd_freeness(r: Resolved, seed: int):
@@ -477,10 +484,7 @@ def cmd_liberation(r: Resolved, seed: int):
         "pass": bool(dev <= 10 * r.sd.tol),
         "sd_converged": True,
     }
-    rows = [["iteration", "max_delta"]] + [
-        [k, repr(d)] for k, d in enumerate(rep.delta_history)
-    ]
-    return report, {"sd_convergence.csv": rows}, EXIT_OK
+    return report, {"sd_convergence.csv": _convergence_rows(rep)}, EXIT_OK
 
 
 def cmd_property_suite(r: Resolved, seed: int):

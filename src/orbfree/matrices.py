@@ -128,12 +128,11 @@ class MatrixTuple:
                 v = self.unitaries[i]
                 return v @ a @ v.conj().T
             return a
-        if kind == "u":
-            try:
-                return self.unitaries[i]
-            except KeyError:
-                raise ValueError(f"tuple has no unitary slot {i}") from None
-        return self.unitaries[i].conj().T
+        try:
+            v = self.unitaries[i]
+        except KeyError:
+            raise ValueError(f"tuple has no unitary slot {i}") from None
+        return v if kind == "u" else v.conj().T
 
     # -- serialization (column-major complex pairs in a JSON envelope) -----
 

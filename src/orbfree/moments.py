@@ -5,6 +5,7 @@ single-variable free entropy."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -177,17 +178,22 @@ def _enumerate_words(letters: Sequence[Letter], m: int):
         yield from itertools.product(letters, repeat=length)
 
 
+@functools.lru_cache(maxsize=64)
+def _canonical_keys(letters: tuple[Letter, ...], m: int) -> tuple[Word, ...]:
+    """Canonical keys of all words of length <= m, de-duplicated, in order
+    of first appearance, without the unit (a MomentTable holds it already)."""
+    keys = dict.fromkeys(canonical_word(w)[0] for w in _enumerate_words(letters, m))
+    keys.pop((), None)
+    return tuple(keys)
+
+
 def empirical_state(tup: MatrixTuple, m: int, alphabet: str = "x") -> MomentTable:
     """Moment table of normalized traces over all words of length <= m."""
     if m < 1:
         raise ValueError("degree bound must be >= 1")
     table = MomentTable(tup.layout, alphabet, m, tup.layout.R)
-    for w in _enumerate_words(_alphabet_letters(tup.layout, alphabet), m):
-        key, flag = canonical_word(w)
-        if key in table.values:
-            continue
-        v = trace_word(key, tup)
-        table.values[key] = v
+    for key in _canonical_keys(tuple(_alphabet_letters(tup.layout, alphabet)), m):
+        table.values[key] = trace_word(key, tup)
     return table
 
 
@@ -240,24 +246,25 @@ class _CenteringRecursion:
         if len(blocks) == 1:
             v = self.marginal(key)
         else:
-            k = len(blocks)
             betas = [self.marginal(b) for b in blocks]
             # 0 = sum over subsets T of (-1)^(k-|T|) prod_{j not in T} beta_j
-            #     * tau(concatenation of blocks in T); solve for T = full set
+            #     * tau(concatenation of blocks in T); solve for T = full set.
+            # A block with beta_j = 0 is in every T with a nonzero term, so
+            # only subsets of the other blocks are visited, in increasing
+            # order of the full mask, multiplying the dropped betas in j order.
+            live = [j for j, beta in enumerate(betas) if beta != 0.0]
             acc = 0.0 + 0.0j
-            for mask in range(2**k - 1):
+            for sub in range(2 ** len(live) - 1):
                 coeff = 1.0 + 0.0j
-                kept: list[Letter] = []
-                dropped = 0
-                for j in range(k):
-                    if mask >> j & 1:
-                        kept.extend(blocks[j])
-                    else:
+                dropped = set()
+                for bit, j in enumerate(live):
+                    if not sub >> bit & 1:
                         coeff *= betas[j]
-                        dropped += 1
-                if coeff == 0.0:
+                        dropped.add(j)
+                if coeff == 0.0:  # underflow
                     continue
-                sign = -1.0 if dropped % 2 else 1.0
+                sign = -1.0 if len(dropped) % 2 else 1.0
+                kept = [l for j, b in enumerate(blocks) if j not in dropped for l in b]
                 acc += sign * coeff * self(kept)
             v = -acc
         self.cache[key] = v
@@ -276,10 +283,8 @@ def free_product(marginals: Sequence[MomentTable], m: int) -> MomentTable:
     state = _CenteringRecursion(lambda l: l[1],
                                 lambda block: marginals[block[0][1] - 1].get(block))
     out = MomentTable(layout, marginals[0].alphabet, m, layout.R)
-    for w in _enumerate_words(_alphabet_letters(layout, out.alphabet), m):
-        key, _ = canonical_word(w)
-        if key not in out.values:
-            out.values[key] = state.at(key)
+    for key in _canonical_keys(tuple(_alphabet_letters(layout, out.alphabet)), m):
+        out.values[key] = state.at(key)
     return out
 
 

@@ -44,6 +44,7 @@ __all__ = [
     "SDReport",
     "sd_solve",
     "sd_residual",
+    "plan_residual",
     "pushforward_x",
     "liberation_check",
     "free_haar_state",
@@ -92,7 +93,8 @@ class SDProblem:
 class SDReport:
     converged: bool
     iterations: int
-    residual: float
+    residual: float  # SD equation on test words of length <= 3
+    plan_residual: float  # every planned word, from one undamped pass
     delta_history: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
 
@@ -169,6 +171,14 @@ def _is_pure_z(w: Word) -> bool:
 
 
 class _Solver:
+    """The SD equations compiled once over the demand-driven word set.
+
+    Every lhs and rhs word of a plan is resolved to its canonical key and
+    conjugate flag when the plan is built.  Keys that are not planned read
+    the h = 0 oracle, whose values are fixed then as well, so a sweep only
+    does arithmetic.
+    """
+
     def __init__(self, problem: SDProblem, demand: Sequence[Word]):
         self.problem = problem
         self.oracle = _free_haar_oracle(problem)
@@ -178,37 +188,27 @@ class _Solver:
             g = cyclic_gradient(i, hz)
             if not g.is_zero:
                 self.grads[i] = g
-        # plans: canonical word -> (i, at_end, lhs terms, rhs words)
+        # plans: canonical word -> (at_end, lhs terms, rhs terms), each lhs
+        # term (a, b, sign) and rhs term (v, c) with words as (key, flag)
         self.plans: dict[Word, tuple] = {}
-        self.values: dict[Word, complex] = {}
         queue = [canonical_word(w)[0] for w in demand]
-        seen = set()
         while queue:
             w = queue.pop()
-            if w in seen or not w or _is_pure_z(w):
+            if w in self.plans or not w or _is_pure_z(w):
                 continue
-            seen.add(w)
-            plan = self._make_plan(w)
-            self.plans[w] = plan
-            _, _, lhs_terms, rhs_words = plan
-            for a, b, _ in lhs_terms:
-                for part in (a, b):
-                    key, _ = canonical_word(part)
-                    if key and not _is_pure_z(key) and key not in seen:
-                        queue.append(key)
-            for v, _ in rhs_words:
-                key, _ = canonical_word(v)
-                if (
-                    key
-                    and not _is_pure_z(key)
-                    and len(key) <= self.problem.D
-                    and key not in seen
-                ):
-                    queue.append(key)
+            plan = self.plans[w] = self._make_plan(w)
+            _, lhs_terms, rhs_terms = plan
+            queue.extend(key for a, b, _ in lhs_terms for key, _ in (a, b))
+            queue.extend(key for (key, _), _ in rhs_terms if len(key) <= problem.D)
         # deterministic update order: by length then lexicographic
         self.order = sorted(self.plans, key=lambda w: (len(w), w))
-        for w in self.order:
-            self.values[w] = self.oracle.at(w)
+        self.values: dict[Word, complex] = {w: self.oracle.at(w) for w in self.order}
+        self.fixed: dict[Word, complex] = {}
+        for _, lhs_terms, rhs_terms in self.plans.values():
+            refs = [r for a, b, _ in lhs_terms for r in (a, b)] + [v for v, _ in rhs_terms]
+            for key, _ in refs:
+                if key not in self.plans:
+                    self.fixed[key] = self.oracle.at(key)
 
     def _make_plan(self, w: Word):
         i, rot, at_end = _pick_rotation(w)
@@ -218,31 +218,46 @@ class _Solver:
                 continue  # the isolated term tau(w) itself
             if not at_end and not a and b == rot:
                 continue
-            lhs_terms.append((a, b, sign))
-        rhs_words = []
+            lhs_terms.append((canonical_word(a), canonical_word(b), sign))
+        rhs_terms = []
         if i in self.grads:
             for v, c in self.grads[i].terms.items():
-                rhs_words.append((reduce_word(v + rot), complex(c)))
-        return i, at_end, lhs_terms, rhs_words
+                rhs_terms.append((canonical_word(reduce_word(v + rot)), complex(c)))
+        return at_end, lhs_terms, rhs_terms
+
+    def _read(self, values: dict[Word, complex], ref: tuple[Word, bool]) -> complex:
+        key, flag = ref
+        v = values[key] if key in values else self.fixed[key]
+        return v.conjugate() if flag else v
+
+    def _candidate(self, w: Word, values: dict[Word, complex],
+                   prev: dict[Word, complex]) -> complex:
+        """Undamped update of w: the lhs reads values, the rhs reads prev."""
+        at_end, lhs_terms, rhs_terms = self.plans[w]
+        s = 0.0 + 0.0j
+        for a, b, sign in lhs_terms:
+            s += sign * self._read(values, a) * self._read(values, b)
+        rhs = 0.0 + 0.0j
+        for v, c in rhs_terms:
+            rhs += c * self._read(prev, v)
+        return rhs - s if at_end else s - rhs
 
     def sweep(self) -> float:
         prev = dict(self.values)
-        oracle = self.oracle
         damp = 0.0 if self.problem.picard else self.problem.damping
         max_delta = 0.0
         for w in self.order:
-            _, at_end, lhs_terms, rhs_words = self.plans[w]
-            s = 0.0 + 0.0j
-            for a, b, sign in lhs_terms:
-                s += sign * _lookup(self.values, oracle, a) * _lookup(self.values, oracle, b)
-            rhs = 0.0 + 0.0j
-            for v, c in rhs_words:
-                rhs += c * _lookup(prev, oracle, v)
-            cand = rhs - s if at_end else s - rhs
+            cand = self._candidate(w, self.values, prev)
             new = damp * self.values[w] + (1.0 - damp) * cand
             max_delta = max(max_delta, abs(new - self.values[w]))
             self.values[w] = new
         return max_delta
+
+    def plan_residual(self, values: dict[Word, complex]) -> float:
+        """Max |undamped update - value| over every planned word, from one
+        pass that reads the given values and writes nothing."""
+        return max((abs(self._candidate(w, values, values) - self._read(values, (w, False)))
+                    for w in self.order), default=0.0)
 
 
 def _default_demand(problem: SDProblem, pushforward_degree: int) -> list[Word]:
@@ -292,8 +307,9 @@ def sd_solve(problem: SDProblem, pushforward_degree: int = 4) -> tuple[MomentTab
             if key not in table.values:
                 table.values[key] = solver.oracle.at(key)
     resid = sd_residual(table, problem)
-    report = SDReport(converged and resid <= problem.tol, iterations, resid,
-                      history, ratios)
+    plan_resid = solver.plan_residual(solver.values)
+    ok = converged and resid <= problem.tol and plan_resid <= problem.tol
+    report = SDReport(ok, iterations, resid, plan_resid, history, ratios)
     return table, report
 
 
@@ -329,6 +345,14 @@ def sd_residual(table: MomentTable, problem: SDProblem) -> float:
         if w and _is_pure_z(w):
             worst = max(worst, abs(v - oracle.at(w)))
     return worst
+
+
+def plan_residual(table: MomentTable, problem: SDProblem) -> float:
+    """Max |undamped update - value| over the SD plan of every word in the
+    table, from one pass that changes nothing; planned words the table
+    lacks read the h = 0 seed."""
+    solver = _Solver(problem, list(table.values))
+    return solver.plan_residual({**solver.values, **table.values})
 
 
 # ---------------------------------------------------------------------------

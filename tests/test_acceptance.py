@@ -237,7 +237,8 @@ def test_criterion_07_sd_solver():
     h = mixed_h(0.01)
     prob = sd_mod.SDProblem(LAYOUT, h, [SEMI, SEMI], D=8)
     tab, rep = sd_mod.sd_solve(prob, pushforward_degree=4)
-    tight = rep.converged and rep.iterations <= 200 and rep.residual <= 1e-10
+    tight = (rep.converged and rep.iterations <= 200 and rep.residual <= 1e-10
+             and rep.plan_residual <= 1e-10)
 
     # Gibbs mean tracial state at N=64 vs the SD pushforward, word by word
     N = 64
@@ -259,8 +260,8 @@ def test_criterion_07_sd_solver():
         sigma = mean.stderr.get(w, 0.0) + 1e-9 / 3
         worst_sigma = max(worst_sigma, diff / (3 * sigma))
     ok = err0 <= 1e-12 and tight and rep_emp.converged and worst_sigma <= 1.0
-    report(7, ok, (f"t=0 oracle err {err0:.1e}; t=0.01 residual {rep.residual:.1e} "
-                   f"in {rep.iterations} iters; Gibbs N=64 worst {worst_sigma:.2f} of 3 sigma"),
+    report(7, ok, (f"t=0 oracle err {err0:.1e}; t=0.01 residual {rep.residual:.1e}, "
+                   f"plan {rep.plan_residual:.1e} in {rep.iterations} iters; Gibbs N=64 worst {worst_sigma:.2f} of 3 sigma"),
            t0)
 
 

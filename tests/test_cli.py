@@ -207,7 +207,13 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["converged"]
         assert report["residual"] <= 1e-10
-        assert (out / "sd_convergence.csv").exists()
+        assert report["plan_residual"] <= 1e-10
+        rows = (out / "sd_convergence.csv").read_text().splitlines()
+        assert rows[0] == "iteration,max_delta,contraction_ratio"
+        assert rows[1].endswith(",")  # no ratio on the first sweep
+        for prev, row in zip(rows[1:], rows[2:]):
+            k, delta, ratio = row.split(",")
+            assert float(ratio) == float(delta) / float(prev.split(",")[1])
 
     def test_sd_nonconvergence_exits_3_with_artifacts(self, tmp_path):
         spec = write_spec(tmp_path, extra={"sd": {"D": 8, "max_iter": 1, "tol": 1e-14}},

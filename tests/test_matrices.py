@@ -206,6 +206,12 @@ class TestMatrixTuple:
         with pytest.raises(ValueError):
             MatrixTuple(LAYOUT, 2, unitaries={1: np.diag([2.0, 1.0]).astype(complex)})
 
+    @pytest.mark.parametrize("letter", ["u[1]", "u'[1]"])
+    def test_missing_unitary_names_the_slot(self, letter):
+        tup = MatrixTuple(LAYOUT, 2, sa={(1, 1): np.eye(2)})
+        with pytest.raises(ValueError, match="tuple has no unitary slot 1"):
+            trace_evaluate(parse(f"{letter}*x[1,1]", LAYOUT), tup)
+
     def test_json_roundtrip(self):
         rng = np.random.default_rng(5)
         tup = make_tuple(rng, 3, with_unitaries=False)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbfree import moments
 from orbfree.matrices import (
     MatrixTuple,
     SpectralMeasure,
@@ -15,9 +17,11 @@ from orbfree.matrices import (
     quantile_microstate,
     spectral_clip,
     gue,
+    trace_word,
 )
 from orbfree.moments import (
     MomentTable,
+    _CenteringRecursion,
     canonical_word,
     chi_single,
     empirical_state,
@@ -162,6 +166,24 @@ class TestEmpiricalState:
         eye = [np.eye(3, dtype=complex)] * 2
         assert moment_distance(empirical_state(tup.conjugated(eye), 3), empirical_state(tup, 3), 3) < 1e-12
 
+    def test_second_call_canonicalizes_nothing(self, monkeypatch):
+        # the canonical keys of each (alphabet, m) are enumerated once
+        rng = np.random.default_rng(3)
+        tups = [MatrixTuple(LAYOUT2, 3, sa={(i, 1): spectral_clip(gue(3, rng), 2.0)
+                                            for i in (1, 2)}) for _ in range(2)]
+        empirical_state(tups[0], 5)
+        calls = []
+        original = moments.canonical_word
+        monkeypatch.setattr(moments, "canonical_word", lambda w: calls.append(w) or original(w))
+        second = empirical_state(tups[1], 5)
+        assert calls == []
+        want = {(): 1.0 + 0.0j}
+        for w in itertools.chain.from_iterable(
+                itertools.product((X1, X2), repeat=n) for n in range(6)):
+            key, _ = original(w)
+            want.setdefault(key, trace_word(key, tups[1]))
+        assert list(second.values.items()) == list(want.items())
+
     def test_orbital_scalar_case(self):
         lay = LAYOUT2
         tup = MatrixTuple(lay, 1, sa={(1, 1): np.array([[0.7]], dtype=complex),
@@ -250,6 +272,17 @@ class TestFreeProduct:
                     w = tuple(letter_x(f, 1) for f in fams)
                     want = nc_mixed_moment(fams, kappas)
                     assert fp.get(w) == pytest.approx(want, abs=1e-12)
+
+    def test_golden_freeness_problem(self):
+        # the free product the `freeness` command compares against:
+        # bernoulli:1 and semicircle:2 microstates at N=100, m=4; a short
+        # hash of the exact reprs recorded before zero marginals were skipped
+        measures = [SpectralMeasure.bernoulli(1.0), SpectralMeasure.semicircle(2.0)]
+        fp = free_product([table_from_measure(LAYOUT2, i, 1, SpectralMeasure.empirical(
+            np.linalg.eigvalsh(quantile_microstate(mu, 100))), 4)
+            for i, mu in enumerate(measures, start=1)], 4)
+        got = hashlib.sha256(repr(sorted(fp.values.items())).encode()).hexdigest()[:16]
+        assert (len(fp.values), got) == (16, "8c35861c085e20d0")
 
     def test_asymptotic_freeness_light(self):
         # conjugating independent diagonal microstates by independent Haar
@@ -387,6 +420,39 @@ class TestSerialization:
         assert back.alphabet == "x" and back.m == 3
 
 
+class FullSubsetSum(_CenteringRecursion):
+    """The centering recursion with the full 2^k inclusion-exclusion over
+    the blocks of a mixed word, zero marginals included."""
+
+    def at(self, key):
+        if key in self.cache:
+            return self.cache[key]
+        blocks = [tuple(g) for _, g in itertools.groupby(key, key=self.component)]
+        if len(blocks) == 1:
+            v = self.marginal(key)
+        else:
+            k = len(blocks)
+            betas = [self.marginal(b) for b in blocks]
+            acc = 0.0 + 0.0j
+            for mask in range(2**k - 1):
+                coeff = 1.0 + 0.0j
+                kept = []
+                dropped = 0
+                for j in range(k):
+                    if mask >> j & 1:
+                        kept.extend(blocks[j])
+                    else:
+                        coeff *= betas[j]
+                        dropped += 1
+                if coeff == 0.0:
+                    continue
+                sign = -1.0 if dropped % 2 else 1.0
+                acc += sign * coeff * self(kept)
+            v = -acc
+        self.cache[key] = v
+        return v
+
+
 # ---------------------------------------------------------------------------
 # properties over drawn inputs
 
@@ -394,6 +460,10 @@ PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, d
 LETTERS = [X1, X2, letter_z(1, 1), letter_u(1), letter_ustar(1), letter_u(2), letter_ustar(2)]
 words = st.lists(st.sampled_from(LETTERS), max_size=7).map(tuple)
 unit_reals = st.floats(-1.0, 1.0, allow_nan=False)
+# uz words as products of bare and Haar-conjugated z's (x = u z u*); the
+# u runs between them are blocks of Haar marginal 0
+UZ_PIECES = [(letter_z(i, 1),) for i in (1, 2)] + [
+    (letter_u(i), letter_z(i, 1), letter_ustar(i)) for i in (1, 2)]
 
 
 class TestProperties:
@@ -446,3 +516,30 @@ class TestProperties:
         for fams in drawn_words:
             w = tuple(letter_x(f, 1) for f in fams)
             assert fp.get(w) == pytest.approx(nc_mixed_moment(fams, kappas), abs=1e-12)
+
+    @PROPERTY_SETTINGS
+    @given(st.integers(0, 2**32 - 1), st.booleans(),
+           st.lists(st.lists(st.sampled_from(UZ_PIECES), max_size=6)
+                    .map(lambda ps: sum(ps, ())), min_size=1, max_size=3))
+    def test_pruned_subset_sum_equals_full(self, seed, symmetric, drawn_words):
+        # Haar blocks have marginal 0; z moments are generic floats (so that
+        # a change in the order of the arithmetic shows), and 0 at odd
+        # orders when symmetric, or at random
+        rng = random.Random(seed)
+        seqs = [[0.0 if (symmetric and k % 2) or rng.random() < 0.25 else rng.uniform(-1, 1)
+                 for k in range(1, 13)] for _ in (1, 2)]
+
+        def component(letter):
+            kind, i, _ = letter
+            return ("u" if kind in ("u", "U") else "z", i)
+
+        def marginal(block):
+            kind, fam = component(block[0])
+            return 0.0 + 0.0j if kind == "u" else complex(seqs[fam - 1][len(block) - 1])
+
+        pruned = _CenteringRecursion(component, marginal)
+        full = FullSubsetSum(component, marginal)
+        for w in drawn_words:
+            pruned(w)
+        # every word the recursion reached, the drawn ones included
+        assert {key: full.at(key) for key in pruned.cache} == pruned.cache

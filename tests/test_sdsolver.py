@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from orbfree import moments, sdsolver
 from orbfree.matrices import SpectralMeasure
 from orbfree.moments import (
     MomentTable,
@@ -15,6 +17,7 @@ from orbfree.sdsolver import (
     SDProblem,
     free_haar_state,
     liberation_check,
+    plan_residual,
     pushforward_x,
     sd_residual,
     sd_solve,
@@ -31,6 +34,13 @@ def small_h(t=0.01):
 
 def zero_problem(**kw):
     return SDProblem(LAYOUT, NCPoly.zero(LAYOUT), [MU, MU], **kw)
+
+
+def digest(obj) -> str:
+    """Short hash of the exact repr (a table's values sorted by key)."""
+    if isinstance(obj, dict):
+        obj = sorted(obj.items())
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
 class TestProblem:
@@ -98,6 +108,33 @@ class TestResidual:
         assert sd_residual(tab, prob) >= 0.1 * 0.9 - base
 
 
+class TestPlanResidual:
+    def test_solution_passes(self):
+        prob = SDProblem(LAYOUT, small_h(), [MU, MU], D=8)
+        tab, rep = sd_solve(prob)
+        assert rep.converged
+        assert rep.plan_residual <= prob.tol
+        assert plan_residual(tab, prob) == rep.plan_residual
+
+    def test_perturbed_long_word_caught(self):
+        # the test words of sd_residual stop at length 3; the plan covers
+        # every solved word, up to length 12 here
+        prob = SDProblem(LAYOUT, small_h(0.01), [MU, MU], D=8)
+        tab, _ = sd_solve(prob)
+        w = max(sorted(tab.values), key=len)
+        assert len(w) == 12
+        tab.values[w] += 1e-6
+        assert plan_residual(tab, prob) >= 0.9e-6
+        assert sd_residual(tab, prob) == 0.0
+
+    def test_gates_converged(self, monkeypatch):
+        prob = SDProblem(LAYOUT, small_h(), [MU, MU], D=8)
+        monkeypatch.setattr(sdsolver._Solver, "plan_residual", lambda self, values: 1.0)
+        _, rep = sd_solve(prob)
+        assert rep.residual <= prob.tol
+        assert (rep.plan_residual, rep.converged) == (1.0, False)
+
+
 class TestSolve:
     def test_t_zero_reproduces_free_haar(self):
         prob = zero_problem()
@@ -115,6 +152,20 @@ class TestSolve:
         assert rep.iterations <= 200
         assert rep.residual <= 1e-10
         assert all(r < 1.0 for r in rep.contraction_ratios[2:])
+
+    def test_sweep_canonicalizes_nothing(self, monkeypatch):
+        # lhs/rhs words resolve to canonical keys when the plan is built
+        prob = SDProblem(LAYOUT, small_h(), [MU, MU], D=8)
+        solver = sdsolver._Solver(prob, sdsolver._default_demand(prob, 4))
+        calls = []
+        original = moments.canonical_word
+        counting = lambda w: calls.append(w) or original(w)  # noqa: E731
+        monkeypatch.setattr(moments, "canonical_word", counting)
+        monkeypatch.setattr(sdsolver, "canonical_word", counting)
+        for _ in range(3):
+            solver.sweep()
+        solver.plan_residual(solver.values)
+        assert calls == []
 
     def test_pure_picard_matches_damped(self):
         damped, _ = sd_solve(SDProblem(LAYOUT, small_h(), [MU, MU], D=8))
@@ -180,3 +231,28 @@ class TestLiberation:
         prob = SDProblem(LAYOUT, small_h(0.01), [MU, MU], D=8)
         tab, _ = sd_solve(prob)
         assert liberation_check(tab, prob, 3) <= 10 * prob.tol
+
+
+class TestGolden:
+    """Values recorded before the free-Haar oracle skipped zero marginals
+    and the sweeps ran on a compiled plan."""
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        prob = SDProblem(LAYOUT, small_h(0.01), [MU, MU], D=8)
+        return (prob,) + sd_solve(prob)
+
+    def test_sd_solve(self, solved):
+        _, tab, rep = solved
+        assert (len(tab.values), digest(tab.values)) == (91, "45279e73ffa1a469")
+        assert (rep.iterations, digest(rep.delta_history)) == (31, "51b44ed349b5bde7")
+        assert digest(rep.contraction_ratios) == "80e3f4581a5ece49"
+
+    def test_pushforward_x(self, solved):
+        prob, tab, _ = solved
+        pf = pushforward_x(tab, prob, 4)
+        assert (len(pf.values), digest(pf.values)) == (16, "8a67251470d79f25")
+
+    def test_liberation_check(self, solved):
+        prob, tab, _ = solved
+        assert repr(liberation_check(tab, prob, 3)) == "4.868234287913609e-12"
