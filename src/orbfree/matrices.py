@@ -44,7 +44,8 @@ class MatrixTuple:
     slots; ``unitaries`` maps family to a unitary filling the u slot.
     Matrices are validated on construction and a tuple is never mutated
     afterwards, which makes ``_traces``, the memo of normalized word traces
-    filled by ``trace_word``, valid for the tuple's whole life.
+    filled by every trace pass (``trace_word``, ``trace_evaluate``, ...),
+    valid for the tuple's whole life.  No other matrix is kept on a tuple.
     """
 
     layout: FamilyLayout
@@ -312,7 +313,8 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
     the R-factor's diagonal phases divided out."""
     if N < 1:
         raise ValueError("dimension must be >= 1")
-    z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(2.0)
+    g = rng.standard_normal((2, N, N))
+    z = (g[0] + 1j * g[1]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
@@ -321,13 +323,17 @@ def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
 def gue(N: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
     """GUE matrix normalized so the spectral law tends to the standard
     semicircle (second moment 1).  Given a sequence of generators, a stacked
-    (B, N, N) batch whose matrix k is gue(N, rng[k]) bit for bit."""
+    (B, N, N) batch whose matrix k is gue(N, rng[k]) bit for bit.  The real
+    and imaginary parts come from one (2, N, N) draw per generator, the
+    same stream as two (N, N) draws."""
     if N < 1:
         raise ValueError("dimension must be >= 1")
     if isinstance(rng, np.random.Generator):
-        a = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+        g = rng.standard_normal((2, N, N))
+        a = g[0] + 1j * g[1]
     else:
-        a = np.stack([g.standard_normal((N, N)) + 1j * g.standard_normal((N, N)) for g in rng])
+        g = np.stack([r.standard_normal((2, N, N)) for r in rng])
+        a = g[:, 0] + 1j * g[:, 1]
     return (a + a.conj().swapaxes(-1, -2)) / (2.0 * math.sqrt(N))
 
 
@@ -375,21 +381,59 @@ def evaluate_word(w: Word, tup: MatrixTuple) -> np.ndarray:
     return out
 
 
+class _TracePass:
+    """Normalized word traces on one tuple for the life of one call.
+
+    Each letter is looked up once and each left-to-right prefix product
+    P[w] = P[w[:-1]] @ letter is formed once, starting from the first
+    letter itself.  ``evaluate_word`` starts from I @ letter, which differs
+    from the letter only in the sign of zero entries; that sign cannot
+    reach a trace, because products and sums of finite numbers carry it
+    only into zeros and ``np.sum`` returns +0 for a zero total.  So every
+    trace is bitwise the one computed from ``evaluate_word``.  Traces go
+    to the tuple's memo; the matrices stay on the pass and are dropped
+    with it, never on the tuple.
+    """
+
+    __slots__ = ("_tup", "_letters", "_prefixes")
+
+    def __init__(self, tup: MatrixTuple):
+        self._tup = tup
+        self._letters: dict = {}
+        self._prefixes: dict[Word, np.ndarray] = {}
+
+    def _letter(self, letter) -> np.ndarray:
+        a = self._letters.get(letter)
+        if a is None:
+            a = self._letters[letter] = self._tup.lookup(letter)
+        return a
+
+    def _prefix(self, w: Word) -> np.ndarray:
+        if len(w) == 1:
+            return self._letter(w[0])
+        p = self._prefixes.get(w)
+        if p is None:
+            p = self._prefixes[w] = self._prefix(w[:-1]) @ self._letter(w[-1])
+        return p
+
+    def trace(self, w: Word) -> complex:
+        if not w:
+            return 1.0 + 0.0j
+        tup = self._tup
+        v = tup._traces.get(w)
+        if v is None:
+            if len(w) == 1:
+                v = complex(np.trace(self._letter(w[0]))) / tup.N
+            else:
+                v = complex(np.sum(self._prefix(w[:-1]).T * self._letter(w[-1]))) / tup.N
+            tup._traces[w] = v
+        return v
+
+
 def trace_word(w: Word, tup: MatrixTuple) -> complex:
     """Normalized trace tr_N of the word on the tuple, computed once per
     (tuple, word) and then read from the tuple's memo."""
-    if not w:
-        return 1.0 + 0.0j
-    v = tup._traces.get(w)
-    if v is None:
-        if len(w) == 1:
-            v = complex(np.trace(tup.lookup(w[0]))) / tup.N
-        else:
-            head = evaluate_word(w[:-1], tup)
-            tail = tup.lookup(w[-1])
-            v = complex(np.sum(head.T * tail)) / tup.N
-        tup._traces[w] = v
-    return v
+    return _TracePass(tup).trace(w)
 
 
 def evaluate(p: NCPoly, tup: MatrixTuple) -> np.ndarray:
@@ -405,14 +449,20 @@ def trace_evaluate(p: NCPoly, tup: MatrixTuple) -> complex:
 
 
 def _trace_evaluate_many(p: NCPoly, tuples: Sequence[MatrixTuple]) -> list[complex]:
-    """tr_N p on each tuple; each exact coefficient is converted to complex
-    once, and each tuple's sum runs over the terms in order from 0j."""
+    """tr_N p on each tuple, in one trace pass per tuple; each exact
+    coefficient is converted to complex once, and each tuple's sum runs
+    over the terms in order from 0j."""
     terms = [(w, complex(c)) for w, c in p.terms.items()]
-    return [sum((c * trace_word(w, tup) for w, c in terms), 0.0 + 0.0j) for tup in tuples]
+    out = []
+    for tup in tuples:
+        trace = _TracePass(tup).trace
+        out.append(sum((c * trace(w) for w, c in terms), 0.0 + 0.0j))
+    return out
 
 
 def double_trace_evaluate(t: TensorNCPoly, tup: MatrixTuple) -> complex:
     """(tr x tr) of a tensor polynomial: sum of coefficient times product
     of normalized traces of the two legs."""
-    return sum((complex(c) * trace_word(a, tup) * trace_word(b, tup)
-                for (a, b), c in t.terms.items()), 0.0 + 0.0j)
+    trace = _TracePass(tup).trace
+    return sum((complex(c) * trace(a) * trace(b) for (a, b), c in t.terms.items()),
+               0.0 + 0.0j)

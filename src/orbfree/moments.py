@@ -13,7 +13,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, SpectralMeasure, trace_word
+from .matrices import MatrixTuple, SpectralMeasure, _TracePass
 from .poly import (
     FamilyLayout,
     Letter,
@@ -188,24 +188,28 @@ def _canonical_keys(letters: tuple[Letter, ...], m: int) -> tuple[Word, ...]:
 
 
 def empirical_state(tup: MatrixTuple, m: int, alphabet: str = "x") -> MomentTable:
-    """Moment table of normalized traces over all words of length <= m."""
+    """Moment table of normalized traces over all words of length <= m,
+    in one trace pass over the tuple."""
     if m < 1:
         raise ValueError("degree bound must be >= 1")
     table = MomentTable(tup.layout, alphabet, m, tup.layout.R)
+    trace = _TracePass(tup).trace
     for key in _canonical_keys(tuple(_alphabet_letters(tup.layout, alphabet)), m):
-        table.values[key] = trace_word(key, tup)
+        table.values[key] = trace(key)
     return table
 
 
 def microstate_check(tup: MatrixTuple, target: MomentTable, m: int, delta: float) -> bool:
     """Membership in the microstate set: every word of length <= m matches
-    the target within delta in absolute value."""
+    the target within delta in absolute value.  One trace pass, which
+    evaluates words only up to the first that fails."""
     if target.m < m:
         raise ValueError("target degree insufficient")
     letters = _alphabet_letters(tup.layout, target.alphabet)
+    trace = _TracePass(tup).trace
     for w in _enumerate_words(letters, m):
         key, flag = canonical_word(w)
-        got = trace_word(key, tup)
+        got = trace(key)
         if flag:
             got = got.conjugate()
         if abs(got - target.get(w)) >= delta:
@@ -366,9 +370,10 @@ def mixture(tables: Sequence[MomentTable], weights: Sequence[float]) -> MomentTa
 
 def moment_distance(t1: MomentTable, t2: MomentTable, m: int) -> float:
     """Uniform deviation over all words of length <= m present in either
-    table (missing entries count via the other table's lookup)."""
+    table.  Both tables key their values by canonical words, so they are
+    read directly; a key missing from either table raises KeyError."""
     keys = {w for w in t1.values if len(w) <= m} | {w for w in t2.values if len(w) <= m}
-    return max((abs(t1.get(w) - t2.get(w)) for w in keys), default=0.0)
+    return max((abs(t1.values[w] - t2.values[w]) for w in keys), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orbfree import gibbs
 from orbfree.matrices import (
@@ -10,8 +12,10 @@ from orbfree.matrices import (
     SpectralMeasure,
     _fold,
     _trace_evaluate_many,
+    _TracePass,
     double_trace_evaluate,
     evaluate,
+    evaluate_word,
     gue,
     haar_unitary,
     quantile_microstate,
@@ -20,9 +24,33 @@ from orbfree.matrices import (
     trace_evaluate,
     trace_word,
 )
-from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, parse
+from orbfree.moments import empirical_state, microstate_check
+from orbfree.poly import (
+    FamilyLayout,
+    NCPoly,
+    TensorNCPoly,
+    letter_u,
+    letter_ustar,
+    letter_x,
+    letter_z,
+    parse,
+)
 
 LAYOUT = FamilyLayout(n=2, r=(2, 1), R=2.0)
+
+
+def two_call_gue(N, rng):
+    """GUE with its real and imaginary parts from two (N, N) draws."""
+    a = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+    return (a + a.conj().T) / (2.0 * math.sqrt(N))
+
+
+def two_call_haar(N, rng):
+    """Haar unitary from a Ginibre matrix drawn as two (N, N) calls."""
+    z = (rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
 
 
 def make_tuple(rng, N, layout=LAYOUT, with_unitaries=True):
@@ -152,6 +180,18 @@ class TestClipReflect:
             batch = gue(N, [np.random.default_rng(s) for s in seeds])
             want = np.stack([gue(N, np.random.default_rng(s)) for s in seeds])
             assert np.array_equal(batch.view(np.int64), want.view(np.int64))
+            # and each matrix is the one drawn as two (N, N) normal calls
+            two = np.stack([two_call_gue(N, np.random.default_rng(s)) for s in seeds])
+            assert np.array_equal(batch.view(np.int64), two.view(np.int64))
+
+    def test_one_draw_per_matrix_keeps_the_stream(self):
+        for N in (1, 2, 8, 33):
+            for draw, two_calls in ((gue, two_call_gue), (haar_unitary, two_call_haar)):
+                rng, ref = np.random.default_rng(N), np.random.default_rng(N)
+                for _ in range(3):
+                    got, want = draw(N, rng), two_calls(N, ref)
+                    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_fold_matches_scalar_reflection(self):
         def reflect(x, S):  # one value at a time, in Python floats
@@ -358,3 +398,120 @@ class TestTraceMemo:
             fresh = MatrixTuple._unchecked(lay, 3, dict(state.sa), dict(state.unitaries), False)
             for w, v in state._traces.items():
                 assert trace_word(w, fresh) == v
+
+
+def reference_trace(w, tup):
+    """tr_N of a word with its head rebuilt from the identity by
+    evaluate_word, with no memo: the arithmetic the trace pass must repeat
+    bit for bit."""
+    if not w:
+        return 1.0 + 0.0j
+    if len(w) == 1:
+        return complex(np.trace(tup.lookup(w[0]))) / tup.N
+    head = evaluate_word(w[:-1], tup)
+    return complex(np.sum(head.T * tup.lookup(w[-1]))) / tup.N
+
+
+def bits(v):
+    """repr of both parts, so that -0.0 and 0.0 count as different."""
+    return repr(v.real), repr(v.imag)
+
+
+# tuple kinds of the trace-pass property: "dense" clipped GUE, or diagonal
+# quantile microstates (exact zeros and negative entries); unitaries are
+# absent, Haar, or real signed permutations (whose u' carries -0.0
+# imaginary parts)
+DIAGONAL_LAWS = [SpectralMeasure.bernoulli(1.0), SpectralMeasure.semicircle(2.0),
+                 SpectralMeasure.atomic([(-1.0, 0.25), (0.0, 0.5), (1.5, 0.25)])]
+
+
+def property_tuple(seed, N, kind, unitaries):
+    rng = np.random.default_rng(seed)
+    sa = {}
+    for i, j in ((1, 1), (1, 2), (2, 1)):
+        if kind == "dense":
+            sa[(i, j)] = spectral_clip(gue(N, rng), LAYOUT.R)
+        else:
+            sa[(i, j)] = quantile_microstate(DIAGONAL_LAWS[rng.integers(3)], N)
+    us = {}
+    for i in (1, 2):
+        if unitaries == "haar":
+            us[i] = haar_unitary(N, rng)
+        elif unitaries == "real":
+            us[i] = np.eye(N)[rng.permutation(N)] * rng.choice([-1.0, 1.0], N)
+    return MatrixTuple(LAYOUT, N, sa=sa, unitaries=us)
+
+
+PASS_LETTERS = [letter_x(1, 1), letter_x(1, 2), letter_x(2, 1), letter_z(1, 1), letter_z(2, 1),
+                letter_u(1), letter_ustar(1), letter_u(2), letter_ustar(2)]
+
+
+class TestTracePass:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5]),
+           st.sampled_from(["dense", "diagonal"]), st.sampled_from(["none", "haar", "real"]),
+           st.lists(st.lists(st.sampled_from(PASS_LETTERS), max_size=5).map(tuple),
+                    min_size=1, max_size=12))
+    def test_pass_equals_evaluate_word_reference(self, seed, N, kind, unitaries, words):
+        tup = property_tuple(seed, N, kind, unitaries)
+        if unitaries == "none":
+            words = [tuple(l for l in w if l[0] in "xz") for w in words]  # x or z letters
+        trace = _TracePass(tup).trace
+        got = [trace(w) for w in words]
+        assert [bits(v) for v in got] == [bits(reference_trace(w, tup)) for w in words]
+        assert all(type(v) is complex for v in got)
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        counts = {}
+        original = MatrixTuple.lookup
+
+        def counting(self, letter):
+            counts[letter] = counts.get(letter, 0) + 1
+            return original(self, letter)
+
+        monkeypatch.setattr(MatrixTuple, "lookup", counting)
+        return counts
+
+    @pytest.mark.parametrize("alphabet", ["x", "uz"])
+    def test_empirical_state_looks_each_letter_up_once(self, lookups, alphabet):
+        lay = FamilyLayout(n=2, r=(1, 1), R=2.0)
+        tup = make_tuple(np.random.default_rng(16), 3, layout=lay)
+        table = empirical_state(tup, 4, alphabet)
+        assert len(table.values) > 10
+        letters = {l for w in table.values for l in w}
+        assert lookups == dict.fromkeys(letters, 1)
+        assert len(letters) == (2 if alphabet == "x" else 6)
+
+    def test_trace_evaluate_many_looks_each_letter_up_once_per_tuple(self, lookups):
+        rng = np.random.default_rng(17)
+        tups = [make_tuple(rng, 3) for _ in range(5)]
+        p = parse("0.3*x[1,1]*x[2,1] + 0.3*x[2,1]*x[1,1] + x[1,1]^3 - 2*u[1]*z[1,2]*u'[1]",
+                  LAYOUT)
+        _trace_evaluate_many(p, tups)
+        letters = {l for w in p.terms for l in w}
+        assert lookups == dict.fromkeys(letters, len(tups))
+
+    def test_microstate_check_stops_at_first_failing_word(self):
+        lay = FamilyLayout(n=2, r=(1, 1), R=2.0)
+        tup = make_tuple(np.random.default_rng(18), 3, layout=lay)
+        target = empirical_state(make_tuple(np.random.default_rng(19), 3, layout=lay), 3)
+        x1 = letter_x(1, 1)
+        target.values[(x1,)] += 1.0
+        assert not microstate_check(tup, target, 3, 0.5)
+        assert list(tup._traces) == [(x1,)]
+
+    def test_pass_keeps_no_matrix_on_the_tuple(self):
+        tup = make_tuple(np.random.default_rng(20), 4)
+        sa, unitaries = dict(tup.sa), dict(tup.unitaries)
+        copies = {k: a.copy() for k, a in [*sa.items(), *unitaries.items()]}
+        attributes = set(vars(tup))
+        p = parse("x[1,1]*x[2,1]*x[1,2] + u[2]*z[2,1]*u'[2]*x[1,1]", LAYOUT)
+        trace_evaluate(p, tup)
+        double_trace_evaluate(TensorNCPoly.of_pair(p, p.adjoint()), tup)
+        empirical_state(tup, 3, "uz")
+        assert set(vars(tup)) == attributes
+        assert tup.sa == sa and tup.unitaries == unitaries  # same array objects
+        for k, a in [*tup.sa.items(), *tup.unitaries.items()]:
+            assert np.array_equal(a, copies[k])
+        assert tup._traces and all(type(v) is complex for v in tup._traces.values())

@@ -381,6 +381,41 @@ class TestMomentDistance:
         assert moment_distance(t1, t2, 4) == pytest.approx(0.3)
         assert moment_distance(t2, t1, 4) == pytest.approx(0.3)
 
+    @staticmethod
+    def _freeness_tables(m):
+        # the tables the freeness command compares: an empirical state of a
+        # conjugated tuple against the free product of its marginals
+        rng = np.random.default_rng(21)
+        sa = {(i, 1): spectral_clip(gue(6, rng), 2.0) for i in (1, 2)}
+        tup = MatrixTuple(LAYOUT2, 6, sa=sa)
+        marginals = [table_from_measure(LAYOUT2, i, 1, SpectralMeasure.empirical(
+            np.linalg.eigvalsh(sa[(i, 1)])), m) for i in (1, 2)]
+        vs = [haar_unitary(6, rng) for _ in range(2)]
+        return empirical_state(tup.conjugated(vs), m), free_product(marginals, m)
+
+    def test_reads_canonical_keys_without_canonicalizing(self, monkeypatch):
+        emp, fp = self._freeness_tables(4)
+        calls = []
+        original = moments.canonical_word
+        monkeypatch.setattr(moments, "canonical_word", lambda w: calls.append(w) or original(w))
+        moment_distance(emp, fp, 4)
+        assert calls == []
+
+    def test_equals_the_lookup_form(self):
+        emp, fp = self._freeness_tables(4)
+        for m in (1, 2, 4):
+            keys = ({w for w in emp.values if len(w) <= m}
+                    | {w for w in fp.values if len(w) <= m})
+            want = max(abs(emp.get(w) - fp.get(w)) for w in keys)
+            assert moment_distance(emp, fp, m) == want
+            assert moment_distance(fp, emp, m) == max(abs(fp.get(w) - emp.get(w)) for w in keys)
+
+    def test_key_missing_from_one_table_raises(self):
+        t1 = table_from_measure(LAYOUT2, 1, 1, SpectralMeasure.semicircle(2.0), 4)
+        t2 = table_from_measure(LAYOUT2, 1, 1, SpectralMeasure.semicircle(2.0), 2)
+        with pytest.raises(KeyError):
+            moment_distance(t1, t2, 4)
+
 
 class TestChiSingle:
     def test_semicircle(self):
