@@ -112,7 +112,6 @@ SD_VALUES = {
     "damping": _NUMBER,
     "max_iter": _POSITIVE_INT,
     "tol": _POSITIVE_NUMBER,
-    "picard": (lambda v: isinstance(v, bool), "true or false"),
 }
 # the 'gibbs' keys that are settings of every chain a command runs
 CHAIN_KEYS = ("beta", "eps", "sweeps", "burn_in", "thinning")
@@ -155,9 +154,15 @@ def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
         raise ValidationError(f"polynomial {key!r} rejected at position {err.position}: {err}")
     except (ValueError, ZeroDivisionError) as err:
         raise ValidationError(f"polynomial {key!r} rejected: {err}")
-    if p.alphabet() & {"u", "U"}:
-        # the chains, microstates and SD problem have no unitary slot for u[i] to name
-        raise ValidationError(f"polynomial {key!r} rejected: it has a unitary letter u[i] or u'[i]")
+    letter = next((l for w in p.terms for l in w if l[0] != "x"), None)
+    if letter is not None:
+        # h is a polynomial in the conjugated variables x[i,j] = V Xi V*, the
+        # argument of the pressure: the raw Xi that z[i,j] names has no
+        # counterpart in the matrix ensemble or the SD problem, and no chain,
+        # microstate or SD problem has a unitary slot for u[i] to name
+        what = "a unitary letter" if letter[0] in ("u", "U") else "the letter"
+        raise ValidationError(f"polynomial {key!r} rejected: it has {what} "
+                              f"{_format_word((letter,))}; only x[i,j] letters are allowed")
     return p
 
 

@@ -5,7 +5,10 @@ matrices with operator norm at most R against the uniform reference.
 
 Every chain runs through one sweep kernel over stacked (B, N, N) arrays: a
 lone ``run`` is a batch of one, and ``log_partition`` advances its whole
-beta ladder in lockstep.  The energy comes from a plan compiled once from h.
+beta ladder in lockstep.  An orbital state is the microstate tuple carrying
+the chain's unitaries, ``microstates.with_unitaries(V)``, and h is evaluated
+on it; the energy comes from a plan compiled once from h, which reads every
+trace from ``matrices._TracePass``, on a lone state or on a stacked batch.
 
 Also provides mean tracial states, log-partition estimators (direct and
 thermodynamic integration), and microstate-set occupancy fractions.
@@ -20,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, gue, haar_unitary, spectral_reflect
+from .matrices import MatrixTuple, _TracePass, gue, haar_unitary, spectral_reflect
 from .moments import (
     MomentTable,
     empirical_state,
@@ -96,7 +99,6 @@ class GibbsChain:
     energy_trace: list = field(default_factory=list)  # (sweep, beta, energy, acc rate)
     samples: list = field(default_factory=list)  # thinned post-burn-in states
     sample_raws: list = field(default_factory=list)  # raw of each retained state
-    energies: list = field(default_factory=list)  # post-burn-in per-sweep energies
 
     @property
     def energy(self) -> float:
@@ -112,13 +114,6 @@ def _energy(config: GibbsConfig, beta: float, raw: float) -> float:
     return 0.0 if config.h.is_zero else config.N**2 * beta * raw
 
 
-def _effective_tuple(state: MatrixTuple, config: GibbsConfig) -> MatrixTuple:
-    if config.kind == "unitary-orbital":
-        vs = [state.unitaries[i] for i in range(1, config.layout.n + 1)]
-        return config.microstates.conjugated(vs)
-    return state
-
-
 # ---------------------------------------------------------------------------
 # the energy plan and the sweep kernel
 
@@ -132,28 +127,30 @@ def _slots(config: GibbsConfig) -> list:
     return [(i, j) for i in range(1, lay.n + 1) for j in range(1, lay.r[i - 1] + 1)]
 
 
-def _slot_arrays(state: MatrixTuple, config: GibbsConfig) -> dict:
-    """The matrices a chain moves: the orbital kind's unitaries, the matrix
-    kind's self-adjoint slots."""
-    return state.unitaries if config.kind == "unitary-orbital" else state.sa
-
-
 def _stack(states: Sequence[MatrixTuple], config: GibbsConfig) -> dict:
-    """The states as one (B, N, N) array per update slot."""
-    return {slot: np.stack([_slot_arrays(s, config)[slot] for s in states])
+    """The matrices the chains move, the orbital kind's unitaries or the
+    matrix kind's self-adjoint slots, as one (B, N, N) array per update
+    slot."""
+    orbital = config.kind == "unitary-orbital"
+    return {slot: np.stack([(s.unitaries if orbital else s.sa)[slot] for s in states])
             for slot in _slots(config)}
 
 
 class _Batch(MatrixTuple):
     """B states of one ensemble as one tuple whose update slots hold the
     stacked (B, N, N) arrays: the form in which the sweep kernel hands a
-    batch to ``energy``."""
+    batch to ``energy``.  An orbital batch is the microstate tuple carrying
+    the stacked unitaries, as a lone state carries its own."""
 
     @classmethod
     def of(cls, stack: dict, config: GibbsConfig) -> "_Batch":
         if config.kind == "unitary-orbital":
             return cls._unchecked(config.layout, config.N, config.microstates.sa, stack, False)
         return cls._unchecked(config.layout, config.N, stack, {}, False)
+
+    @property
+    def size(self) -> int:
+        return len(next(iter((self.unitaries or self.sa).values())))
 
 
 def _unstack(stack: dict, k: int, config: GibbsConfig) -> MatrixTuple:
@@ -164,25 +161,15 @@ def _unstack(stack: dict, k: int, config: GibbsConfig) -> MatrixTuple:
                                   {}, check_norm=False)
 
 
-def _per_state(a: np.ndarray, B: int) -> np.ndarray:
-    """B copies of a matrix, each laid out in memory as a is: the trace
-    sum(head^T * tail) adds the product in its memory order, which follows
-    the operands' layout."""
-    if a.flags.c_contiguous:
-        return np.repeat(a[None], B, axis=0)
-    return np.repeat(a.T[None], B, axis=0).swapaxes(-1, -2)
-
-
 class _Plan:
-    """tr_N h compiled once for one ensemble, evaluated on a stacked batch.
+    """tr_N h compiled once for one ensemble: each coefficient converted to
+    complex once and kept as its two parts.
 
-    Each coefficient is converted to complex once, and each letter h reads
-    is resolved as ``MatrixTuple.lookup`` resolves it on the effective
-    tuple.  The arithmetic is that of ``trace_word`` and ``trace_evaluate``
-    (conjugation (V A) V*, the head multiplied left to right, sum(head^T *
-    tail) / N, terms added in order from 0j, Python's complex product and
-    quotient written out on the parts), so each state of a batch scores bit
-    for bit as it would alone.
+    ``raw`` reads each word's trace from one ``_TracePass`` over the tuple
+    it is given, and repeats the final arithmetic of ``trace_evaluate``
+    (sum / N, terms added in order from 0j) with Python's complex product
+    and quotient written out on the parts, so each state of a batch scores
+    bit for bit as it would alone.
     """
 
     def __init__(self, config: GibbsConfig):
@@ -191,55 +178,19 @@ class _Plan:
         for w, c in config.h.terms.items():
             c = complex(c)
             self.terms.append((w, c.real, c.imag))
-        self.letters = {}
-        for w, _, _ in self.terms:
-            for letter in w:
-                self.letters[letter] = self._resolve(letter, config)
 
-    @staticmethod
-    def _resolve(letter, config: GibbsConfig):
-        """The letter as a function of the stacked state."""
-        kind, i, j = letter
-        if config.kind == "matrix":
-            if kind in ("x", "z"):
-                return lambda stack: stack[(i, j)]
-            raise ValueError(f"tuple has no unitary slot {i}")
-        micro = config.microstates
-        if kind in ("u", "U"):
-            const = micro.lookup(letter)
-            return lambda stack: _per_state(const, len(stack[1]))
-        try:
-            a = micro.sa[(i, j)]
-        except KeyError:
-            raise ValueError(f"tuple has no self-adjoint slot ({i},{j})") from None
-        u = micro.unitaries.get(i) if kind == "x" else None
-
-        def conjugated(stack):
-            v = stack[i]
-            out = (v @ a) @ v.conj().swapaxes(-1, -2)
-            return out if u is None else (u @ out) @ u.conj().T
-
-        return conjugated
-
-    def raw(self, stack: dict) -> np.ndarray:
-        """Re tr_N h on each state of the batch, checking that the imaginary
-        part is negligible."""
+    def raw(self, tup: MatrixTuple, B: int = 1) -> np.ndarray:
+        """Re tr_N h on each of the B states the tuple holds, checking that
+        the imaginary part is negligible."""
         N = self.N
-        mats = {letter: f(stack) for letter, f in self.letters.items()}
-        B = len(next(iter(stack.values())))
+        trace_sum = _TracePass(tup).trace_sum
         re = np.zeros(B)
         im = np.zeros(B)
         for w, cr, ci in self.terms:
             if not w:
                 vr, vi = 1.0, 0.0
             else:
-                if len(w) == 1:
-                    s = np.trace(mats[w[0]], axis1=-2, axis2=-1)
-                else:
-                    head = mats[w[0]]
-                    for letter in w[1:-1]:
-                        head = head @ mats[letter]
-                    s = (head.swapaxes(-1, -2) * mats[w[-1]]).sum(axis=(-2, -1))
+                s = trace_sum(w)
                 vr = (s.real + s.imag * 0.0) / N
                 vi = (s.imag - s.real * 0.0) / N
             re = re + (cr * vr - ci * vi)
@@ -251,17 +202,17 @@ class _Plan:
 
 
 def energy(state: MatrixTuple, config: GibbsConfig, beta: float | None = None):
-    """N^2 * beta * Re tr_N h on the ensemble's effective tuple of a state.
+    """N^2 * beta * Re tr_N h on a state.
 
     The sweep kernel passes a batch of B states instead and gets back
     their B raw values Re tr_N h from one evaluation; each chain forms its
     own energy N^2 beta raw.
     """
     if isinstance(state, _Batch):
-        return config._plan.raw(_slot_arrays(state, config))
+        return config._plan.raw(state, state.size)
     if config.h.is_zero:
         return 0.0
-    raw = float(config._plan.raw(_stack([state], config))[0])
+    raw = float(config._plan.raw(state)[0])
     return _energy(config, config.beta if beta is None else beta, raw)
 
 
@@ -321,10 +272,10 @@ def _run_chains(chains: Sequence[GibbsChain], config: GibbsConfig, record: bool)
     """Run the chains' schedule in lockstep: burn-in with per-chain
     step-size auto-tuning (frozen afterwards, preserving detailed
     balance), then thinned sampling, keeping the raw value of each
-    retained state.  With record, each chain also keeps its energy trace,
-    its post-burn-in energies and the retained states themselves.  The
-    chains share config's ensemble, h and schedule, and may differ in
-    beta, seed and step size."""
+    retained state.  With record, each chain also keeps its energy trace
+    and the retained states themselves.  The chains share config's
+    ensemble, h and schedule, and may differ in beta, seed and step
+    size."""
     stack = _stack([chain.state for chain in chains], config)
     for chain, raw in zip(chains, energy(_Batch.of(stack, config), config).tolist()):
         chain.raw = raw
@@ -347,10 +298,7 @@ def _run_chains(chains: Sequence[GibbsChain], config: GibbsConfig, record: bool)
                         chain.eps *= 1.3
                     marks[k] = (chain.accepted, chain.proposed)
             if record:
-                e = chain.energy
-                chain.energy_trace.append((sweep, beta, e, chain.acceptance_rate))
-                if not in_burn:
-                    chain.energies.append(e)
+                chain.energy_trace.append((sweep, beta, chain.energy, chain.acceptance_rate))
             if keep:
                 chain.sample_raws.append(chain.raw)
                 if record:
@@ -388,7 +336,7 @@ def mean_tracial_state(chain: GibbsChain, m: int) -> MomentTable:
     sqsums: dict = {}
     M = len(chain.samples)
     for state in chain.samples:
-        t = empirical_state(_effective_tuple(state, config), m)
+        t = empirical_state(state, m)
         for w, v in t.values.items():
             sums[w] = sums.get(w, 0.0) + v
             sqsums[w] = sqsums.get(w, 0.0) + abs(v) ** 2
@@ -473,15 +421,15 @@ def log_partition(
 def occupancy(
     chain: GibbsChain, target: MomentTable, m: int, delta: float
 ) -> tuple[float, float]:
-    """Fraction of retained samples whose (conjugated) tuple lies in the
-    microstate set of the target, and (1/N^2) log of that fraction
-    (-inf when the fraction is zero)."""
+    """Fraction of retained samples that lie in the microstate set of the
+    target (an orbital sample's x letters read V Xi V*), and (1/N^2) log
+    of that fraction (-inf when the fraction is zero)."""
     if not chain.samples:
         raise ValueError("chain has no retained samples")
     config = chain.config
     hits = 0
     for state in chain.samples:
-        if microstate_check(_effective_tuple(state, config), target, m, delta):
+        if microstate_check(state, target, m, delta):
             hits += 1
     frac = hits / len(chain.samples)
     logf = -math.inf if frac == 0.0 else math.log(frac) / config.N**2

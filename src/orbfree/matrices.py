@@ -127,13 +127,13 @@ class MatrixTuple:
                 # respect the relation x = u z u' whenever the tuple
                 # carries a unitary for the family
                 v = self.unitaries[i]
-                return v @ a @ v.conj().T
+                return v @ a @ v.conj().swapaxes(-1, -2)
             return a
         try:
             v = self.unitaries[i]
         except KeyError:
             raise ValueError(f"tuple has no unitary slot {i}") from None
-        return v if kind == "u" else v.conj().T
+        return v if kind == "u" else v.conj().swapaxes(-1, -2)
 
     # -- serialization (column-major complex pairs in a JSON envelope) -----
 
@@ -393,6 +393,10 @@ class _TracePass:
     trace is bitwise the one computed from ``evaluate_word``.  Traces go
     to the tuple's memo; the matrices stay on the pass and are dropped
     with it, never on the tuple.
+
+    The same pass serves a tuple whose slots hold stacked (B, N, N)
+    arrays, B states at once: ``trace_sum`` then gives one trace per
+    state, each bitwise the one that state gives alone.
     """
 
     __slots__ = ("_tup", "_letters", "_prefixes")
@@ -416,17 +420,21 @@ class _TracePass:
             p = self._prefixes[w] = self._prefix(w[:-1]) @ self._letter(w[-1])
         return p
 
+    def trace_sum(self, w: Word):
+        """Tr of a nonempty word, unnormalized: a number on a tuple of
+        matrices, one per state on a tuple whose slots hold stacked
+        (B, N, N) arrays.  Not memoized."""
+        if len(w) == 1:
+            return np.trace(self._letter(w[0]), axis1=-2, axis2=-1)
+        return (self._prefix(w[:-1]).swapaxes(-1, -2) * self._letter(w[-1])).sum(axis=(-2, -1))
+
     def trace(self, w: Word) -> complex:
         if not w:
             return 1.0 + 0.0j
         tup = self._tup
         v = tup._traces.get(w)
         if v is None:
-            if len(w) == 1:
-                v = complex(np.trace(self._letter(w[0]))) / tup.N
-            else:
-                v = complex(np.sum(self._prefix(w[:-1]).T * self._letter(w[-1]))) / tup.N
-            tup._traces[w] = v
+            v = tup._traces[w] = complex(self.trace_sum(w)) / tup.N
         return v
 
 

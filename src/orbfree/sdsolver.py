@@ -62,7 +62,6 @@ class SDProblem:
     damping: float = 0.5
     max_iter: int = 200
     tol: float = 1e-10
-    picard: bool = False
 
     def __post_init__(self):
         if len(self.tau0) != self.layout.n:
@@ -244,7 +243,7 @@ class _Solver:
 
     def sweep(self) -> float:
         prev = dict(self.values)
-        damp = 0.0 if self.problem.picard else self.problem.damping
+        damp = self.problem.damping
         max_delta = 0.0
         for w in self.order:
             cand = self._candidate(w, self.values, prev)

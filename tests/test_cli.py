@@ -289,6 +289,7 @@ def n3_file() -> str:
 
 FAMILY_2 = matrix_file({(2, 1): np.diag([1.0, -1.0])})
 U_H = {"h": "u[1] + u'[1]"}
+Z_H = {"h": "0.3*z[1,1]*x[1,1]*x[2,1] + 0.3*x[2,1]*x[1,1]*z[1,1]"}
 
 
 class TestResolution:
@@ -318,6 +319,12 @@ class TestResolution:
         # non-finite measure parameters
         *(("pressure", {"families": ["semicircle:2", measure]}, None, ["family 2", repr(measure)])
           for measure in ("semicircle:nan", "bernoulli:nan", "arcsine:nan,1", "atomic:1@nan")),
+        # z letters in h or h2, which take x letters only
+        *(("pressure", {**Z_H, "gibbs": {**BASE_SPEC["gibbs"], "method": method}}, None,
+           ["'h'", "z[1,1]"]) for method in ("sample", "thermodynamic")),
+        ("gibbs", Z_H, None, ["'h'", "z[1,1]"]),
+        ("relation-check", Z_H, None, ["'h'", "z[1,1]"]),
+        ("property-suite", {"h2": "z[1,1]*x[2,1] + x[2,1]*z[1,1]"}, None, ["'h2'", "z[1,1]"]),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_verify_rejects_what_the_run_rejects(self, tmp_path, capsys, command, spec,
@@ -405,7 +412,7 @@ FUZZ_SD_H = "0.02*x[1,1]^2 + 0.01*x[2,1]"
 TOP_KEYS = ("Ns", "seed", "R", "m", "h", "h2", "basis_degree", "conjugations", "families")
 GIBBS_KEYS = ("kind", "method", "samples", "budget", "beta", "eps", "sweeps", "burn_in",
               "thinning")
-SD_KEYS = ("D", "damping", "max_iter", "tol", "picard")
+SD_KEYS = ("D", "damping", "max_iter", "tol")
 BAD_VALUES = ("x", 0, -1, -2.5, math.nan, math.inf, -math.inf, True, None, [], {})
 
 FAMILY_FILES = {

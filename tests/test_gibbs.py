@@ -96,6 +96,29 @@ class TestEnergy:
         chain = run(cfg)
         assert energy(chain.state, cfg) == pytest.approx(t * a * b, abs=1e-12)
 
+    def test_x_only_h_reads_the_conjugated_tuple(self):
+        # a chain state carries its V; for an x-only h it scores and averages
+        # exactly as the tuple of conjugated matrices V Xi V* does
+        h = parse("0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,1]^2*x[2,1]^2"
+                  " + 0.1*x[2,1]^2*x[1,1]^2", LAYOUT)
+        cfg = orbital_config(h, 4, sweeps=60, burn_in=20, beta=0.8, seed=2)
+        chain = run(cfg)
+
+        def conjugated(state):
+            return cfg.microstates.conjugated([state.unitaries[1], state.unitaries[2]])
+
+        for state in chain.samples + [chain.state]:
+            want = trace_evaluate(h, conjugated(state)).real
+            assert energy(state, cfg) == cfg.N**2 * cfg.beta * want
+        old = mean_tracial_state(replace(chain, samples=[conjugated(s) for s in chain.samples]), 3)
+        new = mean_tracial_state(chain, 3)
+        assert new.values == old.values
+        assert new.stderr == old.stderr
+
+
+def post_burn_in_energies(chain):
+    return [e for sweep, _, e, _ in chain.energy_trace if sweep >= chain.config.burn_in]
+
 
 class TestStep:
     def test_h_zero_all_accepted(self):
@@ -120,7 +143,7 @@ class TestStep:
             cfg = orbital_config(h, 8, sweeps=400, burn_in=150, seed=seed)
             chain = run(cfg)
             inits.append(chain.energy_trace[0][2])
-            finals.append(np.mean(chain.energies))
+            finals.append(np.mean(post_burn_in_energies(chain)))
         assert np.mean(finals) < np.mean(inits)
 
 
@@ -177,7 +200,7 @@ class TestLockstep:
             lone = run(replace(config, beta=chain.config.beta, seed=config.seed + 1000 * k))
             assert chain.config.seed == lone.config.seed
             assert chain.energy_trace == lone.energy_trace
-            assert chain.energies == lone.energies
+            assert post_burn_in_energies(chain) == post_burn_in_energies(lone)
             assert chain.eps == lone.eps
             assert (chain.accepted, chain.proposed) == (lone.accepted, lone.proposed)
             assert chain.sample_raws == lone.sample_raws
@@ -196,15 +219,15 @@ class TestLockstep:
 
 
 class TestPlan:
-    """The compiled energy equals trace_evaluate on the effective tuple,
-    bit for bit, one state at a time and stacked."""
+    """The compiled energy equals trace_evaluate on the state, bit for
+    bit, one state at a time and stacked."""
 
     LAYOUT21 = FamilyLayout(n=2, r=(2, 1), R=2.0)
     H = ("x[1,1]*x[2,1]*x[1,2]*x[2,1] + 1/3*z[1,1]*x[2,1]*z[1,2] + 0.25*x[1,2]"
          " + (0.1+0.2i)*x[1,1]*x[2,1] + 0.3*x[2,1]^3 - 1/7")
 
     def check(self, cfg, states):
-        want = [trace_evaluate(cfg.h, gibbs._effective_tuple(s, cfg)).real for s in states]
+        want = [trace_evaluate(cfg.h, s).real for s in states]
         assert energy(gibbs._Batch.of(gibbs._stack(states, cfg), cfg), cfg).tolist() == want
         for s, raw in zip(states, want):
             assert energy(s, cfg) == cfg.N**2 * cfg.beta * raw
@@ -214,11 +237,12 @@ class TestPlan:
         h = parse(self.H + extra, self.LAYOUT21)
         return (h + h.adjoint()).scale(0.5)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 8])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_orbital_with_microstate_unitaries(self, N):
         rng = np.random.default_rng(N)
         sa = {slot: 0.5 * gue(N, rng) for slot in ((1, 1), (1, 2), (2, 1))}
-        # a unitary for family 1 only: its x letters read u z u*, its z letters z
+        # each state replaces the microstate's own unitary by its V: u letters
+        # read V, x letters V z V*, z letters z
         micro = MatrixTuple(self.LAYOUT21, N, sa=sa, unitaries={1: haar_unitary(N, rng)},
                             check_norm=False)
         h = self.h(" + 0.5*u[1]*x[2,1]*u'[1] - u'[1]*x[1,2]*u[1] + u'[1]*z[1,1] + 0.2*u'[1]^2")
@@ -227,7 +251,7 @@ class TestPlan:
                   for _ in range(5)]
         self.check(cfg, states)
 
-    @pytest.mark.parametrize("N", [1, 2, 3, 8])
+    @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_matrix_kind(self, N):
         rng = np.random.default_rng(10 + N)
         cfg = GibbsConfig("matrix", N, self.h(), R=2.0, beta=1.3)

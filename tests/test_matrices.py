@@ -461,6 +461,29 @@ class TestTracePass:
         assert [bits(v) for v in got] == [bits(reference_trace(w, tup)) for w in words]
         assert all(type(v) is complex for v in got)
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 5]), st.sampled_from([1, 3]),
+           st.sampled_from(["unitary-orbital", "matrix"]),
+           st.lists(st.lists(st.sampled_from(PASS_LETTERS), min_size=1, max_size=5).map(tuple),
+                    min_size=1, max_size=12))
+    def test_batch_trace_sum_equals_each_state_alone(self, seed, N, B, kind, words):
+        rng = np.random.default_rng(seed)
+        if kind == "matrix":
+            words = [w for w in words if all(l[0] in "xz" for l in w)] or [(letter_x(1, 1),)]
+            cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), R=2.0)
+            states = [property_tuple(rng.integers(2**32), N, "dense", "none") for _ in range(B)]
+        else:
+            micro = property_tuple(seed, N, "dense", "haar")
+            cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), microstates=micro)
+            states = [micro.with_unitaries([haar_unitary(N, rng), haar_unitary(N, rng)])
+                      for _ in range(B)]
+        batch = _TracePass(gibbs._Batch.of(gibbs._stack(states, cfg), cfg)).trace_sum
+        lone = [_TracePass(s).trace_sum for s in states]
+        for w in words:
+            # a word of microstate letters only is one number for the whole batch
+            got = np.broadcast_to(batch(w), (B,))
+            assert [bits(complex(v)) for v in got] == [bits(complex(t(w))) for t in lone]
+
     @pytest.fixture
     def lookups(self, monkeypatch):
         counts = {}

@@ -169,7 +169,7 @@ class TestSolve:
 
     def test_pure_picard_matches_damped(self):
         damped, _ = sd_solve(SDProblem(LAYOUT, small_h(), [MU, MU], D=8))
-        pure, rep = sd_solve(SDProblem(LAYOUT, small_h(), [MU, MU], D=8, picard=True))
+        pure, rep = sd_solve(SDProblem(LAYOUT, small_h(), [MU, MU], D=8, damping=0.0))
         assert rep.converged
         assert moment_distance(damped, pure, 100) <= 1e-9
 
