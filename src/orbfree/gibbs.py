@@ -10,8 +10,9 @@ the chain's unitaries, ``microstates.with_unitaries(V)``, and h is evaluated
 on it; the energy comes from a plan compiled once from h, which reads every
 trace from ``matrices._TracePass``, on a lone state or on a stacked batch.
 
-Also provides mean tracial states, log-partition estimators (direct and
-thermodynamic integration), and microstate-set occupancy fractions.
+Also provides mean tracial states, the thermodynamic-integration
+log-partition estimator, and microstate-set occupancy fractions.  Every
+log-mean-exp estimate lives in ``pressure``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,10 @@ class GibbsConfig:
                 raise ValueError("unitary-orbital kind needs microstates")
             if self.microstates.N != self.N:
                 raise ValueError("microstate dimension mismatch")
+            if self.microstates.unitaries:
+                fams = ", ".join(map(str, sorted(self.microstates.unitaries)))
+                raise ValueError(f"microstates carry a unitary for family {fams}; "
+                                 "each chain state brings its own")
         else:
             if self.R is None:
                 raise ValueError("matrix kind needs a norm cutoff R")
@@ -374,40 +379,15 @@ def _ladder(config: GibbsConfig, beta_grid: int, record: bool = False) -> list[G
     return chains
 
 
-def log_partition(
-    config: GibbsConfig,
-    method: str = "thermodynamic",
-    beta_grid: int = 11,
-    variance_threshold: float = 4.0,
-) -> tuple[float, float]:
+def log_partition(config: GibbsConfig, beta_grid: int = 11) -> tuple[float, float]:
     """Estimate log Z (unitary kind: absolute, reference Haar; matrix
-    kind: log of the ratio Z_h / Z_0 against the uniform reference).
-
-    direct: log E_0[exp(-E)] under the beta=0 reference; refuses when the
-    spread of E makes the exponential average unreliable.
-    thermodynamic: log Z(beta=1) - log Z(0) = -integral over beta of the
-    mean raw energy, on an equally spaced beta grid with trapezoid
-    weights.
+    kind: log of the ratio Z_h / Z_0 against the uniform reference) by
+    thermodynamic integration: log Z(beta=1) - log Z(0) = -integral over
+    beta of the mean raw energy, on an equally spaced beta grid with
+    trapezoid weights.
     """
     if config.h.is_zero:
         return 0.0, 0.0
-    if method == "direct":
-        chain = run(replace(config, beta=0.0))
-        raw = [_energy(config, 1.0, r) for r in chain.sample_raws]
-        spread = max(raw) - min(raw)
-        if spread > variance_threshold:
-            raise RuntimeError(
-                f"direct estimator refused: energy spread {spread:.3g} exceeds "
-                f"threshold {variance_threshold}"
-            )
-        shift = min(raw)
-        vals = np.exp(-(np.asarray(raw) - shift))
-        mean = float(vals.mean())
-        se = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else float("inf")
-        return -shift + math.log(mean), se / mean
-    if method != "thermodynamic":
-        raise ValueError(f"unknown method {method!r}")
-
     means, errs = zip(*(_mean_and_stderr([_energy(config, 1.0, r) for r in chain.sample_raws])
                         for chain in _ladder(config, beta_grid)))
     w = np.full(beta_grid, 1.0 / (beta_grid - 1))
@@ -426,11 +406,10 @@ def occupancy(
     of that fraction (-inf when the fraction is zero)."""
     if not chain.samples:
         raise ValueError("chain has no retained samples")
-    config = chain.config
-    hits = 0
-    for state in chain.samples:
-        if microstate_check(state, target, m, delta):
-            hits += 1
-    frac = hits / len(chain.samples)
-    logf = -math.inf if frac == 0.0 else math.log(frac) / config.N**2
-    return frac, logf
+    return _occupancy(chain.samples, chain.config.N, target, m, delta)
+
+
+def _occupancy(states: Sequence[MatrixTuple], N: int, target: MomentTable, m: int,
+               delta: float) -> tuple[float, float]:
+    frac = sum(microstate_check(s, target, m, delta) for s in states) / len(states)
+    return frac, -math.inf if frac == 0.0 else math.log(frac) / N**2

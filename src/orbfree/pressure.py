@@ -7,7 +7,8 @@ ensembles."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,6 @@ from .moments import (
     canonical_word,
     chi_single,
     empirical_state,
-    microstate_check,
     x_letters,
 )
 from .poly import (
@@ -109,15 +109,11 @@ def _exponents(values: Sequence[complex], N: int) -> np.ndarray:
     return np.array([-(N**2) * v.real for v in values])
 
 
-def _log_mean_exp(vals: np.ndarray) -> float:
-    shift = vals.max()
-    return float(shift + np.log(np.mean(np.exp(vals - shift))))
-
-
 def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
     """log of the sample average of exp(e), with a delta-method standard
-    error."""
-    lme = _log_mean_exp(e)
+    error: the one log-mean-exp every sample-set estimate goes through."""
+    shift = e.max()
+    lme = float(shift + np.log(np.mean(np.exp(e - shift))))
     w = np.exp(e - lme)  # mean 1 by construction
     se = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else float("inf")
     return lme, se
@@ -147,6 +143,11 @@ def _family_split(h: NCPoly) -> bool:
 # pressure estimate
 
 
+# the largest energy spread the direct estimator accepts: beyond it the
+# exponential average is dominated by a few states
+DIRECT_SPREAD_LIMIT = 4.0
+
+
 def pressure_estimate(
     h: NCPoly,
     microstates_per_N: Sequence[tuple[int, MatrixTuple]],
@@ -156,37 +157,58 @@ def pressure_estimate(
     """Per-N normalized orbital log-partition values with an affine
     extrapolation in 1/N.
 
-    methods: "sample" (log-mean-exp over Haar conjugations), or
-    "thermodynamic" / "direct" (delegated to the Gibbs chain estimators).
-    Family-split h is evaluated exactly in closed form at each N.
+    methods: "sample" (log-mean-exp over Haar conjugations), "direct"
+    (log-mean-exp over the retained states of the beta = 0 chain), or
+    "thermodynamic" (gibbs.log_partition).  Family-split h is evaluated
+    exactly in closed form at each N.
     """
+    if method not in ("sample", "direct", "thermodynamic"):
+        raise ValueError(f"unknown method {method!r}")
+
+    def row(N, xi, draw, chain):
+        if h.is_zero:
+            return 0.0, 0.0
+        if _family_split(h):
+            return N**2 * -trace_evaluate(h, xi).real, 0.0
+        if method == "sample":
+            v, se = _sample_pressure(h, draw(), N)
+            return N**2 * v, N**2 * se
+        cfg = gibbs.GibbsConfig("unitary-orbital", N, h, microstates=xi, **chain)
+        return (_direct if method == "direct" else gibbs.log_partition)(cfg)
+
+    return _per_N_estimate(h, method, microstates_per_N, gibbs_settings, row)
+
+
+def _per_N_estimate(h, source: str, microstates_per_N, gibbs_settings, row) -> PressureEstimate:
+    """The per-N loop of pressure_estimate and double_pressure.  At each
+    (N, xi), row(N, xi, draw, chain) gives (logZ, stderr): draw() is the
+    sample set at N, the settings' "samples" Haar conjugations of xi from
+    default_rng(seed + N), and chain is the other settings, seeded
+    seed + N.  logZ / N^2 is then fitted affinely in 1/N."""
     settings = dict(gibbs_settings or {})
     seed = settings.pop("seed", 0)
     M = settings.pop("samples", 200)
     rows = []
     for N, xi in microstates_per_N:
-        if h.is_zero:
-            rows.append((N, 0.0, 0.0))
-            continue
-        if _family_split(h):
-            val = -trace_evaluate(h, xi).real
-            rows.append((N, N**2 * val, 0.0))
-            continue
-        if method == "sample":
-            rng = np.random.default_rng(seed + N)
-            samples = sample_conjugations(xi, M, rng)
-            v, se = _sample_pressure(h, samples, N)
-            rows.append((N, N**2 * v, N**2 * se))
-        else:
-            cfg = gibbs.GibbsConfig("unitary-orbital", N, h, microstates=xi,
-                                    seed=seed + N, **settings)
-            logz, se = gibbs.log_partition(cfg, method=method)
-            rows.append((N, logz, se))
+        draw = partial(sample_conjugations, xi, M, np.random.default_rng(seed + N))
+        rows.append((N, *row(N, xi, draw, {**settings, "seed": seed + N})))
     normalized = [logz / N**2 for N, logz, _ in rows]
-    extrapolated, r2, resid = _affine_fit(
-        [1.0 / N for N, _, _ in rows], normalized
-    )
-    return PressureEstimate(h, method, rows, normalized, extrapolated, r2, resid)
+    extrapolated, r2, resid = _affine_fit([1.0 / N for N, _, _ in rows], normalized)
+    return PressureEstimate(h, source, rows, normalized, extrapolated, r2, resid)
+
+
+def _direct(cfg: gibbs.GibbsConfig) -> tuple[float, float]:
+    """log E_0[exp(-N^2 Re tr_N h)] over the retained states of the beta = 0
+    chain; refuses when the spread of the energies exceeds
+    DIRECT_SPREAD_LIMIT."""
+    e = _exponents(gibbs.run(replace(cfg, beta=0.0)).sample_raws, cfg.N)
+    spread = e.max() - e.min()
+    if spread > DIRECT_SPREAD_LIMIT:
+        raise RuntimeError(
+            f"direct estimator refused: energy spread {spread:.3g} exceeds "
+            f"threshold {DIRECT_SPREAD_LIMIT}"
+        )
+    return _log_mean_exp_se(e)
 
 
 def _affine_fit(xs, ys):
@@ -254,8 +276,8 @@ def finite_N_property_suite(
     e1 = _exponents(_trace_evaluate_many(g1, samples), N)
     e2 = _exponents(_trace_evaluate_many(g2, samples), N)
     # product measure over independent V-groups: all (s, t) pairs
-    joint = _log_mean_exp((e1[:, None] + e2[None, :]).ravel()) / N**2
-    split = _log_mean_exp(e1) / N**2 + _log_mean_exp(e2) / N**2
+    joint = _log_mean_exp_se((e1[:, None] + e2[None, :]).ravel())[0] / N**2
+    split = _log_mean_exp_se(e1)[0] / N**2 + _log_mean_exp_se(e2)[0] / N**2
     report["additive"] = {"joint": joint, "split": split, "margin": abs(joint - split)}
 
     report["max_violation"] = max(
@@ -418,14 +440,8 @@ def equilibrium_check(
     report["gap"] = eta.value - rhs
     occ = []
     for N, xi in microstates_per_N:
-        rng = np.random.default_rng(seed + 7 * N)
-        hits = 0
-        M = samples
-        for s in sample_conjugations(xi, M, rng):
-            if microstate_check(s, target, m, delta):
-                hits += 1
-        frac = hits / M
-        occ.append((N, frac, -math.inf if frac == 0 else math.log(frac) / N**2))
+        states = sample_conjugations(xi, samples, np.random.default_rng(seed + 7 * N))
+        occ.append((N, *gibbs._occupancy(states, N, target, m, delta)))
     report["occupancy"] = occ
     slopes = [row[2] for row in occ if row[2] > -math.inf]
     report["occupancy_slope"] = (slopes[-1] - slopes[0]) if len(slopes) > 1 else 0.0
@@ -443,20 +459,12 @@ def double_pressure(
 ) -> PressureEstimate:
     """Pressure of the tensor (double-trace) energy, by the same shared
     log-mean-exp pipeline as pressure_estimate's sample method."""
-    settings = dict(gibbs_settings or {})
-    seed = settings.pop("seed", 0)
-    M = settings.pop("samples", 200)
-    rows = []
-    for N, xi in microstates_per_N:
-        rng = np.random.default_rng(seed + N)
-        samples = sample_conjugations(xi, M, rng)
-        lme, se = _log_mean_exp_se(
-            _exponents([double_trace_evaluate(h2, s) for s in samples], N)
-        )
-        rows.append((N, lme, N**2 * (se / N**2)))
-    normalized = [logz / N**2 for N, logz, _ in rows]
-    extrapolated, r2, resid = _affine_fit([1.0 / N for N, _, _ in rows], normalized)
-    return PressureEstimate(h2, "sample", rows, normalized, extrapolated, r2, resid)
+
+    def row(N, xi, draw, chain):
+        lme, se = _log_mean_exp_se(_exponents([double_trace_evaluate(h2, s) for s in draw()], N))
+        return lme, N**2 * (se / N**2)
+
+    return _per_N_estimate(h2, "sample", microstates_per_N, gibbs_settings, row)
 
 
 def penalty_poly(target: MomentTable, m: int, beta: float, delta: float) -> TensorNCPoly:
@@ -516,7 +524,7 @@ def pressure_relation_check(
 
     # matrix-side relative log-partition
     cfg_h = gibbs.GibbsConfig("matrix", N, h, R=R, seed=seed + 1, **settings)
-    rel_logz, se_m = gibbs.log_partition(cfg_h, method="thermodynamic")
+    rel_logz, se_m = gibbs.log_partition(cfg_h)
     rel = rel_logz / N**2
     se_m /= N**2
 

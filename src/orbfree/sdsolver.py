@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 from .matrices import SpectralMeasure
@@ -66,11 +67,10 @@ class SDProblem:
     def __post_init__(self):
         if len(self.tau0) != self.layout.n:
             raise ValueError("need one z-marginal per family")
-        hz = substitute_x(self.h)
-        if not self.h.is_zero and self.D < hz.degree + 2:
+        if not self.h.is_zero and self.D < self.hz.degree + 2:
             raise ValueError(
                 f"truncation degree 'D' = {self.D} must exceed degree(h(uzu*)) + 1 = "
-                f"{hz.degree + 1}"
+                f"{self.hz.degree + 1}"
             )
         tmax = max((abs(c) for c in self.h.terms.values()), default=0.0)
         if tmax > SMALLNESS_THRESHOLD:
@@ -79,6 +79,16 @@ class SDProblem:
                 f"regime {SMALLNESS_THRESHOLD}; convergence is not expected",
                 stacklevel=3,  # past __post_init__ and the dataclass __init__
             )
+
+    @cached_property
+    def hz(self) -> NCPoly:
+        """h(uzu*): h with each x_ij replaced by u_i z_ij u_i*."""
+        return substitute_x(self.h)
+
+    @cached_property
+    def gradients(self) -> dict[int, NCPoly]:
+        """The cyclic gradient D_i h(uzu*) of each family i, zero ones included."""
+        return {i: cyclic_gradient(i, self.hz) for i in range(1, self.layout.n + 1)}
 
     def marginal(self, family: int, block: Word) -> complex:
         src = self.tau0[family - 1]
@@ -181,12 +191,7 @@ class _Solver:
     def __init__(self, problem: SDProblem, demand: Sequence[Word]):
         self.problem = problem
         self.oracle = _free_haar_oracle(problem)
-        hz = substitute_x(problem.h)
-        self.grads = {}
-        for i in range(1, problem.layout.n + 1):
-            g = cyclic_gradient(i, hz)
-            if not g.is_zero:
-                self.grads[i] = g
+        self.grads = {i: g for i, g in problem.gradients.items() if not g.is_zero}
         # plans: canonical word -> (at_end, lhs terms, rhs terms), each lhs
         # term (a, b, sign) and rhs term (v, c) with words as (key, flag)
         self.plans: dict[Word, tuple] = {}
@@ -261,9 +266,7 @@ class _Solver:
 
 def _default_demand(problem: SDProblem, pushforward_degree: int) -> list[Word]:
     layout = problem.layout
-    deg = max((g.degree for g in
-               (cyclic_gradient(i, substitute_x(problem.h))
-                for i in range(1, layout.n + 1))), default=0)
+    deg = max((g.degree for g in problem.gradients.values()), default=0)
     demand: list[Word] = []
     # residual test words and their right-hand sides
     letters = _alphabet_letters(layout, "uz")
@@ -321,14 +324,12 @@ def sd_residual(table: MomentTable, problem: SDProblem) -> float:
     with degree(p) + degree(D_i h) <= D, plus the z-marginal deviation."""
     layout = problem.layout
     oracle = _free_haar_oracle(problem)
-    hz = substitute_x(problem.h)
     worst = 0.0
 
     def tau(w):
         return _lookup(table.values, oracle, w)
 
-    for i in range(1, layout.n + 1):
-        g = cyclic_gradient(i, hz)
+    for i, g in problem.gradients.items():
         cap = problem.D - (g.degree if not g.is_zero else 0)
         cap = min(cap, 3)  # keeps enumeration over the uz alphabet bounded
         for p in _enumerate_words(_alphabet_letters(layout, "uz"), cap):

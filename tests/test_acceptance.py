@@ -184,7 +184,7 @@ def test_criterion_04_partition_oracles():
                                      (2, 1): np.diag(b).astype(complex)})
     cfg = gibbs_mod.GibbsConfig("unitary-orbital", 2, mixed_h(t), microstates=xi2,
                                 sweeps=10000, burn_in=2000, thinning=2, seed=11)
-    logz, se = gibbs_mod.log_partition(cfg, method="thermodynamic", beta_grid=17)
+    logz, se = gibbs_mod.log_partition(cfg, beta_grid=17)
     rel = abs(logz - oracle) / abs(oracle)
     ok = err1 <= 1e-12 and rel <= 0.01
     report(4, ok, f"N=1 exact (err {err1:.1e}); N=2 HCIZ quadrature rel err {rel:.3%}", t0)

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from orbfree import sdsolver
 from orbfree.cli import COMMANDS, main
-from orbfree.matrices import MatrixTuple
-from orbfree.poly import FamilyLayout
+from orbfree.matrices import MatrixTuple, SpectralMeasure, quantile_microstate
+from orbfree.poly import FamilyLayout, parse
+from orbfree.pressure import pressure_estimate
 
 BASE_SPEC = {
     "h": "0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]",
@@ -262,6 +263,30 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert report["value"] <= 0.0
+
+
+class TestDirect:
+    def test_direct_matches_library(self, tmp_path):
+        spec = write_spec(tmp_path, gibbs={**BASE_SPEC["gibbs"], "method": "direct"})
+        code, out = run(tmp_path, "pressure", spec)
+        assert code == 0
+        layout = FamilyLayout(2, (1, 1), 2.0)
+        xi = {N: quantile_microstate(SpectralMeasure.semicircle(2.0), N) for N in BASE_SPEC["Ns"]}
+        est = pressure_estimate(parse(BASE_SPEC["h"], layout),
+                                [(N, MatrixTuple(layout, N, sa={(1, 1): x, (2, 1): x}))
+                                 for N, x in xi.items()],
+                                {**BASE_SPEC["gibbs"], "seed": BASE_SPEC["seed"]}, method="direct")
+        report = json.loads((out / "report.json").read_text())
+        assert report["per_N"] == [{"N": N, "logZ": z, "stderr": s} for N, z, s in est.per_N]
+
+    def test_large_spread_exits_3(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, h="2*x[1,1]*x[2,1] + 2*x[2,1]*x[1,1]", Ns=[8],
+                          gibbs={"sweeps": 100, "burn_in": 20, "method": "direct"})
+        code, _ = run(tmp_path, "pressure", spec)
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numeric failure: direct estimator refused" in err
+        assert "Traceback" not in err
 
 
 class TestReproducibility:

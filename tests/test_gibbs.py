@@ -67,6 +67,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             GibbsConfig("unitary-orbital", 4, h)  # missing microstates
 
+    def test_rejects_microstate_unitaries(self):
+        # each chain state carries its own V, so a unitary on the microstates
+        # would be silently replaced
+        h = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1]", LAYOUT)
+        micro = semicircle_microstates(4).with_unitaries([np.eye(4), np.eye(4)])
+        with pytest.raises(ValueError, match="family 1, 2"):
+            GibbsConfig("unitary-orbital", 4, h, microstates=micro)
+
 
 class TestEnergy:
     def test_zero_h(self):
@@ -241,10 +249,9 @@ class TestPlan:
     def test_orbital_with_microstate_unitaries(self, N):
         rng = np.random.default_rng(N)
         sa = {slot: 0.5 * gue(N, rng) for slot in ((1, 1), (1, 2), (2, 1))}
-        # each state replaces the microstate's own unitary by its V: u letters
-        # read V, x letters V z V*, z letters z
-        micro = MatrixTuple(self.LAYOUT21, N, sa=sa, unitaries={1: haar_unitary(N, rng)},
-                            check_norm=False)
+        # each state carries its own V: u letters read V, x letters V z V*,
+        # z letters z
+        micro = MatrixTuple(self.LAYOUT21, N, sa=sa, check_norm=False)
         h = self.h(" + 0.5*u[1]*x[2,1]*u'[1] - u'[1]*x[1,2]*u[1] + u'[1]*z[1,1] + 0.2*u'[1]^2")
         cfg = GibbsConfig("unitary-orbital", N, h, microstates=micro, beta=0.7)
         states = [micro.with_unitaries([haar_unitary(N, rng), haar_unitary(N, rng)])
@@ -295,16 +302,15 @@ class TestGolden:
         chain = run(cfg)
         assert (repr(chain.eps), chain.accepted, repr(chain.energy)) == want
 
-    @pytest.mark.parametrize("name, method, want", [
-        ("orbital-n2", "thermodynamic", "(0.17081901355205914, 0.029022002140583834)"),
-        ("orbital-n3-quartic", "thermodynamic", "(-0.512419048622428, 0.0322896712035182)"),
-        ("orbital-n3", "direct", "(0.027980360111080294, 0.028653338848208216)"),
-        ("matrix-n3", "thermodynamic", "(1.1878029637491885, 0.15330107450531827)"),
-        ("matrix-n4", "direct", "(0.02096204112785685, 0.007886876399138232)"),
+    @pytest.mark.parametrize("name, want", [
+        pytest.param(name, want, id=f"{name}-thermodynamic-{want}") for name, want in [
+            ("orbital-n2", "(0.17081901355205914, 0.029022002140583834)"),
+            ("orbital-n3-quartic", "(-0.512419048622428, 0.0322896712035182)"),
+            ("matrix-n3", "(1.1878029637491885, 0.15330107450531827)"),
+        ]
     ])
-    def test_log_partition(self, name, method, want):
-        kw = {"beta_grid": 5} if method == "thermodynamic" else {}
-        assert repr(log_partition(golden_config(name), method=method, **kw)) == want
+    def test_log_partition(self, name, want):
+        assert repr(log_partition(golden_config(name), beta_grid=5)) == want
 
 
 class TestMeanTracialState:
@@ -354,15 +360,8 @@ class TestLogPartition:
             "unitary-orbital", 1, h, microstates=scalar_microstates(a, b),
             sweeps=60, burn_in=10, seed=0,
         )
-        for method in ("thermodynamic", "direct"):
-            est, err = log_partition(cfg, method=method)
-            assert est == pytest.approx(-t * a * b, abs=1e-10)
-
-    def test_direct_refuses_large_spread(self):
-        h = parse("2*x[1,1]*x[2,1] + 2*x[2,1]*x[1,1]", LAYOUT)
-        cfg = orbital_config(h, 8, sweeps=100, burn_in=20)
-        with pytest.raises(RuntimeError):
-            log_partition(cfg, method="direct")
+        est, err = log_partition(cfg)
+        assert est == pytest.approx(-t * a * b, abs=1e-10)
 
     def test_hciz_oracle_n2_light(self):
         # N=2 closed 1-dim reduction: tr(V A V* B) depends on s=|V11|^2,

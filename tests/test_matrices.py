@@ -473,7 +473,7 @@ class TestTracePass:
             cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), R=2.0)
             states = [property_tuple(rng.integers(2**32), N, "dense", "none") for _ in range(B)]
         else:
-            micro = property_tuple(seed, N, "dense", "haar")
+            micro = property_tuple(seed, N, "dense", "none")  # each state brings its V
             cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), microstates=micro)
             states = [micro.with_unitaries([haar_unitary(N, rng), haar_unitary(N, rng)])
                       for _ in range(B)]

@@ -68,6 +68,28 @@ class TestPressureEstimate:
         est = pressure_estimate(mixed_h(t), [(1, xi)], {"samples": 10})
         assert est.normalized[0] == pytest.approx(-t * a * b, abs=1e-12)
 
+    def test_direct_scalar_exact(self):
+        # at N = 1 every state of the beta = 0 chain has energy t a b
+        a, b, t = 0.9, -0.6, 0.8
+        xi = MatrixTuple(LAYOUT, 1, sa={(1, 1): np.array([[a]], dtype=complex),
+                                        (2, 1): np.array([[b]], dtype=complex)})
+        est = pressure_estimate(mixed_h(t), [(1, xi)], {"sweeps": 60, "burn_in": 10},
+                                method="direct")
+        assert est.normalized[0] == pytest.approx(-t * a * b, abs=1e-10)
+
+    def test_direct_refuses_large_spread(self):
+        h = parse("2*x[1,1]*x[2,1] + 2*x[2,1]*x[1,1]", LAYOUT)
+        with pytest.raises(RuntimeError, match="direct estimator refused: energy spread"):
+            pressure_estimate(h, [(8, semicircle_tuple(8))],
+                              {"seed": 1, "sweeps": 100, "burn_in": 20}, method="direct")
+
+    @pytest.mark.parametrize("h", [NCPoly.zero(LAYOUT), parse("x[1,1]^2", LAYOUT), mixed_h()],
+                             ids=["zero", "family-split", "mixed"])
+    def test_unknown_method_rejected(self, h):
+        # before the zero and family-split shortcuts, which read no method
+        with pytest.raises(ValueError, match="unknown method 'bogus'"):
+            pressure_estimate(h, [(2, semicircle_tuple(2))], method="bogus")
+
     def test_constant_shift(self):
         h = mixed_h()
         per_N = [(4, semicircle_tuple(4))]
@@ -310,6 +332,14 @@ class TestGolden:
                                (6, -1.816630210284293, 0.4414302954366428)])
         self.exact(est.normalized, [-0.03878074494328765, -0.05046195028567481])
         self.exact(est.extrapolated, -0.07382436097044913)
+
+    def test_direct(self):
+        # recorded through gibbs.log_partition(method="direct") before the
+        # direct estimator moved here; its chain is seeded seed + N = 7
+        h = parse("0.15*x[1,1]*x[2,1] + 0.15*x[2,1]*x[1,1]", LAYOUT).scale(0.2)
+        est = pressure_estimate(h, [(3, semicircle_tuple(3))],
+                                {"seed": 4, "sweeps": 200, "burn_in": 40}, method="direct")
+        self.exact(est.per_N, [(3, 0.027980360111080294, 0.028653338848208216)])
 
     def test_property_suite(self):
         rep = finite_N_property_suite(parse(self.H, LAYOUT), parse(self.H2, LAYOUT),
