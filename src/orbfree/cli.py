@@ -20,7 +20,7 @@ import scipy
 from . import gibbs as gibbs_mod
 from . import pressure as pressure_mod
 from . import sdsolver as sd_mod
-from .matrices import MatrixTuple, SpectralMeasure, haar_unitary, quantile_microstate
+from .matrices import MatrixTuple, SpectralMeasure, quantile_microstate
 from .moments import (
     MomentTable,
     empirical_state,
@@ -334,6 +334,8 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, float)):
         v = float(obj)
         return repr(v) if math.isinf(v) or math.isnan(v) else v
+    if isinstance(obj, bool):  # before int, which bool subclasses
+        return obj
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, complex):
@@ -456,12 +458,8 @@ def cmd_freeness(r: Resolved, seed: int):
     xi = r.microstates(N)
     fp = _free_product_of(r.layout, [SpectralMeasure.empirical(np.linalg.eigvalsh(xi.sa[(i, 1)]))
                                      for i in range(1, r.layout.n + 1)], r.m)
-    rng = np.random.default_rng(seed)
-    dists = []
-    for _ in range(r.conjugations):
-        vs = [haar_unitary(N, rng) for _ in range(r.layout.n)]
-        emp = empirical_state(xi.conjugated(vs), r.m)
-        dists.append(moment_distance(emp, fp, r.m))
+    orbit = pressure_mod.sample_conjugations(xi, r.conjugations, np.random.default_rng(seed))
+    dists = [moment_distance(empirical_state(s, r.m), fp, r.m) for s in orbit]
     report = {
         "command": "freeness",
         "N": N,
@@ -477,10 +475,11 @@ def cmd_freeness(r: Resolved, seed: int):
 
 def cmd_liberation(r: Resolved, seed: int):
     table, rep = sd_mod.sd_solve(r.sd, pushforward_degree=r.m)
+    traces = {"sd_convergence.csv": _convergence_rows(rep)}
     if not rep.converged:
-        report = {"command": "liberation", "sd_converged": False,
-                  "residual": rep.residual}
-        return report, {}, EXIT_NONCONVERGENCE
+        report = {"command": "liberation", "sd_converged": False, "iterations": rep.iterations,
+                  "residual": rep.residual, "plan_residual": rep.plan_residual}
+        return report, traces, EXIT_NONCONVERGENCE
     dev = sd_mod.liberation_check(table, r.sd, r.m)
     report = {
         "command": "liberation",
@@ -489,7 +488,7 @@ def cmd_liberation(r: Resolved, seed: int):
         "pass": bool(dev <= 10 * r.sd.tol),
         "sd_converged": True,
     }
-    return report, {"sd_convergence.csv": _convergence_rows(rep)}, EXIT_OK
+    return report, traces, EXIT_OK
 
 
 def cmd_property_suite(r: Resolved, seed: int):

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -456,7 +456,7 @@ def trace_evaluate(p: NCPoly, tup: MatrixTuple) -> complex:
     return _trace_evaluate_many(p, (tup,))[0]
 
 
-def _trace_evaluate_many(p: NCPoly, tuples: Sequence[MatrixTuple]) -> list[complex]:
+def _trace_evaluate_many(p: NCPoly, tuples: Iterable[MatrixTuple]) -> list[complex]:
     """tr_N p on each tuple, in one trace pass per tuple; each exact
     coefficient is converted to complex once, and each tuple's sum runs
     over the terms in order from 0j."""

@@ -202,24 +202,75 @@ def xz_letter_count(w: Word) -> int:
 # polynomials
 
 
-class NCPoly:
-    """Finite linear combination of reduced words with exact coefficients."""
+class _Combination:
+    """Finite linear combination of keys with exact nonzero coefficients on
+    one family layout: the term core of NCPoly (keys are words) and
+    TensorNCPoly (keys are word pairs).  Results keep the operand's type."""
 
     __slots__ = ("layout", "terms")
 
-    def __init__(self, layout: FamilyLayout, terms: dict[Word, QC] | None = None):
+    def __init__(self, layout: FamilyLayout, terms: dict | None = None):
         self.layout = layout
-        self.terms: dict[Word, QC] = {}
+        self.terms: dict = {}
         if terms:
-            for w, c in terms.items():
+            for k, c in terms.items():
                 if not c.is_zero:
-                    self.terms[w] = c
+                    self.terms[k] = c
+
+    @classmethod
+    def zero(cls, layout: FamilyLayout):
+        return cls(layout)
+
+    def _check_layout(self, other) -> None:
+        if self.layout != other.layout:
+            raise ValueError("operands come from different family layouts")
+
+    def _sum(self, other):
+        self._check_layout(other)
+        terms = dict(self.terms)
+        for k, c in other.terms.items():
+            _accumulate(terms, k, c)
+        return type(self)(self.layout, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return type(self)(self.layout, {k: -c for k, c in self.terms.items()})
+
+    def scale(self, scalar):
+        s = QC.of(scalar)
+        if s.is_zero:
+            return type(self)(self.layout)
+        return type(self)(self.layout, {k: c * s for k, c in self.terms.items()})
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, type(self)) and self.terms == other.terms
+
+    def __hash__(self):
+        return hash(frozenset(self.terms.items()))
+
+
+def _products(a: _Combination, b: _Combination, key) -> dict:
+    """Terms of a bilinear product: c1 * c2 at key(k1, k2) for every pair
+    of terms, accumulated in the order of the double loop."""
+    terms: dict = {}
+    for k1, c1 in a.terms.items():
+        for k2, c2 in b.terms.items():
+            _accumulate(terms, key(k1, k2), c1 * c2)
+    return terms
+
+
+class NCPoly(_Combination):
+    """Finite linear combination of reduced words with exact coefficients."""
+
+    __slots__ = ()
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def zero(layout: FamilyLayout) -> "NCPoly":
-        return NCPoly(layout)
 
     @staticmethod
     def one(layout: FamilyLayout) -> "NCPoly":
@@ -253,37 +304,13 @@ class NCPoly:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check_layout(self, other: "NCPoly") -> None:
-        if self.layout != other.layout:
-            raise ValueError("operands come from different family layouts")
-
     def __add__(self, other: "NCPoly") -> "NCPoly":
-        self._check_layout(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            _accumulate(terms, w, c)
-        return NCPoly(self.layout, terms)
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly(self.layout, {w: -c for w, c in self.terms.items()})
-
-    def scale(self, scalar) -> "NCPoly":
-        s = QC.of(scalar)
-        if s.is_zero:
-            return NCPoly(self.layout)
-        return NCPoly(self.layout, {w: c * s for w, c in self.terms.items()})
+        return self._sum(other)
 
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             self._check_layout(other)
-            terms: dict[Word, QC] = {}
-            for w1, c1 in self.terms.items():
-                for w2, c2 in other.terms.items():
-                    _accumulate(terms, reduce_word(w1 + w2), c1 * c2)
-            return NCPoly(self.layout, terms)
+            return NCPoly(self.layout, _products(self, other, lambda w1, w2: reduce_word(w1 + w2)))
         return self.scale(other)
 
     def __rmul__(self, scalar) -> "NCPoly":
@@ -301,10 +328,6 @@ class NCPoly:
     def degree(self) -> int:
         return max((len(w) for w in self.terms), default=0)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def is_selfadjoint(self) -> bool:
         return self == self.adjoint()
 
@@ -313,12 +336,6 @@ class NCPoly:
         for w in self.terms:
             out |= word_alphabet(w)
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"NCPoly({format_poly(self)})"
@@ -338,67 +355,26 @@ def norm_bound(p: NCPoly, R: float | None = None) -> float:
 # tensors
 
 
-class TensorNCPoly:
+class TensorNCPoly(_Combination):
     """Element of the algebraic tensor square, stored as a map from word
     pairs to coefficients (fully expanded canonical form)."""
 
-    __slots__ = ("layout", "terms")
-
-    def __init__(
-        self,
-        layout: FamilyLayout,
-        terms: dict[tuple[Word, Word], QC] | None = None,
-    ):
-        self.layout = layout
-        self.terms: dict[tuple[Word, Word], QC] = {}
-        if terms:
-            for k, c in terms.items():
-                if not c.is_zero:
-                    self.terms[k] = c
-
-    @staticmethod
-    def zero(layout: FamilyLayout) -> "TensorNCPoly":
-        return TensorNCPoly(layout)
+    __slots__ = ()
 
     @staticmethod
     def of_pair(a: NCPoly, b: NCPoly) -> "TensorNCPoly":
         if a.layout != b.layout:
             raise ValueError("tensor factors come from different layouts")
-        terms: dict[tuple[Word, Word], QC] = {}
-        for wa, ca in a.terms.items():
-            for wb, cb in b.terms.items():
-                _accumulate(terms, (wa, wb), ca * cb)
-        return TensorNCPoly(a.layout, terms)
-
-    def _check_layout(self, other) -> None:
-        if self.layout != other.layout:
-            raise ValueError("operands come from different family layouts")
+        return TensorNCPoly(a.layout, _products(a, b, lambda wa, wb: (wa, wb)))
 
     def __add__(self, other: "TensorNCPoly") -> "TensorNCPoly":
-        self._check_layout(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(terms, k, c)
-        return TensorNCPoly(self.layout, terms)
-
-    def __sub__(self, other: "TensorNCPoly") -> "TensorNCPoly":
-        return self + (-other)
-
-    def __neg__(self) -> "TensorNCPoly":
-        return TensorNCPoly(self.layout, {k: -c for k, c in self.terms.items()})
-
-    def scale(self, scalar) -> "TensorNCPoly":
-        s = QC.of(scalar)
-        return TensorNCPoly(self.layout, {k: c * s for k, c in self.terms.items()})
+        return self._sum(other)
 
     def __mul__(self, other: "TensorNCPoly") -> "TensorNCPoly":
         """Factorwise product: (a x b)(c x d) = ac x bd."""
         self._check_layout(other)
-        terms: dict[tuple[Word, Word], QC] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                _accumulate(terms, (reduce_word(a1 + a2), reduce_word(b1 + b2)), c1 * c2)
-        return TensorNCPoly(self.layout, terms)
+        return TensorNCPoly(self.layout, _products(
+            self, other, lambda k1, k2: (reduce_word(k1[0] + k2[0]), reduce_word(k1[1] + k2[1]))))
 
     def adjoint(self) -> "TensorNCPoly":
         return TensorNCPoly(
@@ -408,16 +384,6 @@ class TensorNCPoly:
                 for (a, b), c in self.terms.items()
             },
         )
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TensorNCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         parts = []

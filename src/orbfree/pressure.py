@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -26,8 +26,8 @@ from .matrices import (
 )
 from .moments import (
     MomentTable,
+    _canonical_keys,
     _enumerate_words,
-    canonical_word,
     chi_single,
     empirical_state,
     x_letters,
@@ -36,7 +36,6 @@ from .poly import (
     FamilyLayout,
     NCPoly,
     TensorNCPoly,
-    adjoint_word,
     norm_bound,
 )
 
@@ -93,15 +92,13 @@ class EtaEstimate:
 
 def sample_conjugations(
     microstates: MatrixTuple, M: int, rng: np.random.Generator
-) -> list[MatrixTuple]:
+) -> Iterator[MatrixTuple]:
     """M independent Haar conjugations of the microstate tuple (the
-    reference measure of the orbital ensemble)."""
+    reference measure of the orbital ensemble), each drawn from rng when
+    it is read; a caller that reads the set twice lists it."""
     n = microstates.layout.n
-    out = []
     for _ in range(M):
-        vs = [haar_unitary(microstates.N, rng) for _ in range(n)]
-        out.append(microstates.with_unitaries(vs))
-    return out
+        yield microstates.with_unitaries([haar_unitary(microstates.N, rng) for _ in range(n)])
 
 
 def _exponents(values: Sequence[complex], N: int) -> np.ndarray:
@@ -119,7 +116,7 @@ def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
     return lme, se
 
 
-def _sample_pressure(h: NCPoly, samples: Sequence[MatrixTuple], N: int) -> tuple[float, float]:
+def _sample_pressure(h: NCPoly, samples: Iterable[MatrixTuple], N: int) -> tuple[float, float]:
     """(1/N^2) log of the sample average of exp(-N^2 tr h), with a
     delta-method standard error.  x letters evaluate as u z u' because
     the samples carry unitaries."""
@@ -242,32 +239,27 @@ def finite_N_property_suite(
     convexity (Cauchy-Schwarz), and disjoint-family additivity as an
     equality on the product empirical measure."""
     N = microstates.N
-    rng = np.random.default_rng(seed)
-    samples = sample_conjugations(microstates, M, rng)
-
-    def pi(h, subset=None):
-        return _sample_pressure(h, subset if subset is not None else samples, N)[0]
+    samples = list(sample_conjugations(microstates, M, np.random.default_rng(seed)))
+    # h1 <= h1 + q*q pointwise on every sample, and the midpoint of h1, h2
+    q = h2 - h1
+    dominating = h1 + q.adjoint() * q
+    mid = (h1 + h2).scale(0.5)
+    pi1, pi2, pi_dom, pi_mid = (_sample_pressure(h, samples, N)[0]
+                                for h in (h1, h2, dominating, mid))
 
     report = {}
 
     # (Lipschitz) |pi(h1) - pi(h2)| <= sup-norm surrogate of h1 - h2
     lip_bound = norm_bound(h1 - h2)
-    lip_lhs = abs(pi(h1) - pi(h2))
+    lip_lhs = abs(pi1 - pi2)
     report["lipschitz"] = {"lhs": lip_lhs, "bound": lip_bound, "margin": lip_bound - lip_lhs}
 
-    # (monotone) h1 <= h1 + q*q pointwise on every sample
-    q = h2 - h1
-    dominating = h1 + q.adjoint() * q
-    report["monotone"] = {
-        "pi_smaller": pi(h1),
-        "pi_larger": pi(dominating),
-        "margin": pi(h1) - pi(dominating),
-    }
+    # (monotone) pi(h1) >= pi(h1 + q*q)
+    report["monotone"] = {"pi_smaller": pi1, "pi_larger": pi_dom, "margin": pi1 - pi_dom}
 
     # (convex) midpoint convexity via Cauchy-Schwarz on the sample set
-    mid = (h1 + h2).scale(0.5)
-    conv_rhs = 0.5 * pi(h1) + 0.5 * pi(h2)
-    report["convex"] = {"pi_mid": pi(mid), "rhs": conv_rhs, "margin": conv_rhs - pi(mid)}
+    conv_rhs = 0.5 * pi1 + 0.5 * pi2
+    report["convex"] = {"pi_mid": pi_mid, "rhs": conv_rhs, "margin": conv_rhs - pi_mid}
 
     # (additive) disjoint family groups factorize exactly on the product
     # empirical measure: project h1 to family 1, h2 to family 2
@@ -302,21 +294,13 @@ def _project_families(h: NCPoly, families: set[int]) -> NCPoly:
 
 
 def selfadjoint_word_basis(layout: FamilyLayout, d: int) -> list[NCPoly]:
-    """Self-adjoint symmetrizations (w + w*)/1 of x-words of degree 1..d,
-    deduplicated; constants are excluded (flat direction of the
-    objective)."""
-    seen = set()
+    """Self-adjoint symmetrizations (w + w*)/2 of the canonical x-words of
+    degree 1..d, one per class under rotation and adjoint; constants are
+    excluded (flat direction of the objective)."""
     out = []
-    for w in _enumerate_words(x_letters(layout), d):
-        if not w:
-            continue
-        key = min(canonical_word(w)[0], canonical_word(adjoint_word(w))[0])
-        if key in seen:
-            continue
-        seen.add(key)
+    for w in _canonical_keys(tuple(x_letters(layout)), d):
         p = NCPoly.monomial(layout, list(w), 1)
-        sym = p if p.is_selfadjoint() else (p + p.adjoint()).scale(0.5)
-        out.append(sym)
+        out.append(p if p.is_selfadjoint() else (p + p.adjoint()).scale(0.5))
     return out
 
 
@@ -383,8 +367,7 @@ def eta_estimate(
     if not basis:
         return EtaEstimate(target, basis, 0.0, np.zeros(0), [(0, 0.0)], converged=True)
 
-    rng = np.random.default_rng(seed)
-    shared = sample_conjugations(microstates, samples, rng)
+    shared = list(sample_conjugations(microstates, samples, np.random.default_rng(seed)))
 
     evals = []
     best = [0.0, np.zeros(len(basis))]
@@ -440,7 +423,7 @@ def equilibrium_check(
     report["gap"] = eta.value - rhs
     occ = []
     for N, xi in microstates_per_N:
-        states = sample_conjugations(xi, samples, np.random.default_rng(seed + 7 * N))
+        states = list(sample_conjugations(xi, samples, np.random.default_rng(seed + 7 * N)))
         occ.append((N, *gibbs._occupancy(states, N, target, m, delta)))
     report["occupancy"] = occ
     slopes = [row[2] for row in occ if row[2] > -math.inf]

@@ -23,6 +23,7 @@ from .matrices import SpectralMeasure
 from .moments import (
     MomentTable,
     _alphabet_letters,
+    _canonical_keys,
     _CenteringRecursion,
     _enumerate_words,
     canonical_word,
@@ -52,6 +53,11 @@ __all__ = [
 ]
 
 SMALLNESS_THRESHOLD = 0.05
+
+
+def _component(letter: Letter) -> tuple[str, int]:
+    kind, i, _ = letter
+    return ("u" if kind in ("u", "U") else "z", i)
 
 
 @dataclass
@@ -90,6 +96,21 @@ class SDProblem:
         """The cyclic gradient D_i h(uzu*) of each family i, zero ones included."""
         return {i: cyclic_gradient(i, self.hz) for i in range(1, self.layout.n + 1)}
 
+    @cached_property
+    def oracle(self) -> _CenteringRecursion:
+        """The h = 0 state: moments of the free product of one Haar unitary
+        per family and the z-families with marginals from tau0, memoized
+        for every caller of this problem."""
+
+        def marginal(block: Word) -> complex:
+            kind, fam = _component(block[0])
+            if kind == "u":
+                # reduced runs are pure powers u^k or (u*)^k; Haar moments vanish
+                return 0.0 + 0.0j
+            return self.marginal(fam, block)
+
+        return _CenteringRecursion(_component, marginal)
+
     def marginal(self, family: int, block: Word) -> complex:
         src = self.tau0[family - 1]
         if isinstance(src, SpectralMeasure):
@@ -112,32 +133,12 @@ class SDReport:
 # the h = 0 solution: free product of Haar unitaries and the z-families
 
 
-def _component(letter: Letter) -> tuple[str, int]:
-    kind, i, _ = letter
-    return ("u" if kind in ("u", "U") else "z", i)
-
-
-def _free_haar_oracle(problem: SDProblem) -> _CenteringRecursion:
-    """Moments of the free product of one Haar unitary per family and the
-    z-families with marginals from the problem."""
-
-    def marginal(block: Word) -> complex:
-        kind, fam = _component(block[0])
-        if kind == "u":
-            # reduced runs are pure powers u^k or (u*)^k; Haar moments vanish
-            return 0.0 + 0.0j
-        return problem.marginal(fam, block)
-
-    return _CenteringRecursion(_component, marginal)
-
-
 def free_haar_state(problem: SDProblem, words: Sequence[Word]) -> MomentTable:
     """Free-product oracle values on the given uz-words."""
-    oracle = _free_haar_oracle(problem)
     out = MomentTable(problem.layout, "uz", problem.D, problem.layout.R)
     for w in words:
         key, _ = canonical_word(w)
-        out.values[key] = oracle.at(key)
+        out.values[key] = problem.oracle.at(key)
     return out
 
 
@@ -190,7 +191,7 @@ class _Solver:
 
     def __init__(self, problem: SDProblem, demand: Sequence[Word]):
         self.problem = problem
-        self.oracle = _free_haar_oracle(problem)
+        self.oracle = problem.oracle
         self.grads = {i: g for i, g in problem.gradients.items() if not g.is_zero}
         # plans: canonical word -> (at_end, lhs terms, rhs terms), each lhs
         # term (a, b, sign) and rhs term (v, c) with words as (key, flag)
@@ -300,14 +301,11 @@ def sd_solve(problem: SDProblem, pushforward_degree: int = 4) -> tuple[MomentTab
             converged = True
             break
     table = MomentTable(problem.layout, "uz", problem.D, problem.layout.R)
-    for w, v in solver.values.items():
-        table.values[w] = v
-    # pure z words for completeness
-    for w in _enumerate_words(_alphabet_letters(problem.layout, "uz"), min(problem.D, 4)):
-        if w and _is_pure_z(w):
-            key, _ = canonical_word(w)
-            if key not in table.values:
-                table.values[key] = solver.oracle.at(key)
+    table.values.update(solver.values)
+    # pure z words, which no plan holds, for completeness
+    zs = tuple(l for l in _alphabet_letters(problem.layout, "uz") if l[0] == "z")
+    for key in _canonical_keys(zs, min(problem.D, 4)):
+        table.values[key] = problem.oracle.at(key)
     resid = sd_residual(table, problem)
     plan_resid = solver.plan_residual(solver.values)
     ok = converged and resid <= problem.tol and plan_resid <= problem.tol
@@ -323,7 +321,7 @@ def sd_residual(table: MomentTable, problem: SDProblem) -> float:
     """Max violation of the Schwinger-Dyson equation over all test words p
     with degree(p) + degree(D_i h) <= D, plus the z-marginal deviation."""
     layout = problem.layout
-    oracle = _free_haar_oracle(problem)
+    oracle = problem.oracle
     worst = 0.0
 
     def tau(w):
@@ -362,15 +360,11 @@ def plan_residual(table: MomentTable, problem: SDProblem) -> float:
 def pushforward_x(table: MomentTable, problem: SDProblem, m: int) -> MomentTable:
     """Moments of x_ij = u_i z_ij u_i* under the solved state."""
     layout = problem.layout
-    oracle = _free_haar_oracle(problem)
     out = MomentTable(layout, "x", m, layout.R)
-    for w in _enumerate_words(x_letters(layout), m):
-        key, _ = canonical_word(w)
-        if key in out.values:
-            continue
+    for key in _canonical_keys(tuple(x_letters(layout)), m):
         zw = substitute_x(NCPoly.monomial(layout, list(key), 1))
         ((word, c),) = zw.terms.items()
-        out.values[key] = complex(c) * _lookup(table.values, oracle, word)
+        out.values[key] = complex(c) * _lookup(table.values, problem.oracle, word)
     return out
 
 
@@ -378,12 +372,11 @@ def liberation_check(table: MomentTable, problem: SDProblem, m: int) -> float:
     """Max deviation of tau(j_i w) from (tau (x) tau) applied to the
     liberation derivative of w, over x-words of length <= m."""
     layout = problem.layout
-    oracle = _free_haar_oracle(problem)
 
     def tau_uz(p: NCPoly) -> complex:
         acc = 0.0 + 0.0j
         for w, c in p.terms.items():
-            acc += complex(c) * _lookup(table.values, oracle, w)
+            acc += complex(c) * _lookup(table.values, problem.oracle, w)
         return acc
 
     def tau_x(p: NCPoly) -> complex:

@@ -225,6 +225,34 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert not report["converged"]
 
+    def test_liberation_nonconvergence_writes_sd_artifacts(self, tmp_path):
+        spec = write_spec(tmp_path, extra={"sd": {"D": 8, "max_iter": 1}}, m=2)
+        codes = {command: run(tmp_path, command, spec, command)[0]
+                 for command in ("sd", "liberation")}
+        assert codes == {"sd": 3, "liberation": 3}
+        sd = json.loads((tmp_path / "sd" / "report.json").read_text())
+        lib = json.loads((tmp_path / "liberation" / "report.json").read_text())
+        assert lib["sd_converged"] is False
+        for key in ("iterations", "residual", "plan_residual"):
+            assert lib[key] == sd[key]
+        rows = [(tmp_path / command / "sd_convergence.csv").read_text().splitlines()
+                for command in ("sd", "liberation")]
+        assert rows[0] == rows[1] and len(rows[1]) == 2
+
+    def test_booleans_are_json_booleans(self, tmp_path):
+        spec = write_spec(tmp_path, extra={"sd": {"D": 8, "tol": 1e-10}}, m=2)
+        assert run(tmp_path, "pressure", spec, "verify", "--verify")[0] == 0
+        assert run(tmp_path, "sd", spec, "sd")[0] == 0
+        assert run(tmp_path, "liberation", spec, "liberation")[0] == 0
+        stalled = write_spec(tmp_path, extra={"sd": {"D": 8, "max_iter": 1}}, m=2)
+        assert run(tmp_path, "sd", stalled, "stalled")[0] == 3
+        reports = {name: json.loads((tmp_path / name / "report.json").read_text())
+                   for name in ("verify", "sd", "liberation", "stalled")}
+        assert reports["verify"]["ok"] is True
+        assert reports["sd"]["converged"] is True
+        assert reports["liberation"]["pass"] is True
+        assert reports["stalled"]["converged"] is False
+
     def test_freeness(self, tmp_path):
         spec = write_spec(tmp_path, Ns=[40], extra={"conjugations": 5})
         code, out = run(tmp_path, "freeness", spec)

@@ -1,12 +1,16 @@
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 MODULES = ["poly", "matrices", "moments", "gibbs", "pressure", "sdsolver"]
-BENCHMARK = Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+ROOT = Path(__file__).resolve().parents[1]
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -50,3 +54,22 @@ def test_benchmark_names_public_functions():
     names = _traced_names()
     assert "gibbs.energy" in names and "poly.QC.__complex__" in names
     assert [name for name in names if not _resolves(name)] == []
+
+
+def test_tracer_leaves_no_unwrapped_binding():
+    # a function the benchmark wraps must not stay reachable through a
+    # second binding, e.g. one function object bound on a base class and a
+    # subclass; runs in its own process, since installing the tracer wraps
+    # orbfree for good, and writes no bytecode into perfbench/
+    script = ("import sys\n"
+              "sys.path[:0] = sys.argv[1:]\n"
+              "from tracer import Tracer\n"
+              "tracer = Tracer()\n"
+              "tracer.install()\n"
+              "print(tracer.unwrapped_bindings())\n")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench"), str(ROOT / "src")],
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True,
+        timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

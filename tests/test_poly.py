@@ -131,6 +131,35 @@ class TestAlgebra:
             NCPoly.x(LAYOUT, 1, 1) + NCPoly.x(other, 1, 1)
 
 
+class TestTermCore:
+    """NCPoly and TensorNCPoly share one term core; its results keep the
+    operand's type."""
+
+    @staticmethod
+    def operands():
+        p = parse("x[1,1]*x[2,1] - 3", LAYOUT)
+        return p, TensorNCPoly.of_pair(p, p.adjoint())
+
+    def test_zeros_of_the_two_types_differ(self):
+        assert NCPoly.zero(LAYOUT) != TensorNCPoly.zero(LAYOUT)
+        assert TensorNCPoly.zero(LAYOUT) != NCPoly.zero(LAYOUT)
+        assert type(TensorNCPoly.zero(LAYOUT)) is TensorNCPoly
+
+    def test_results_keep_their_type(self):
+        for t in self.operands():
+            for result in (t.scale(0), -t, t - t):
+                assert type(result) is type(t)
+            assert t.scale(0).is_zero and (t - t).is_zero
+            assert not (-t).is_zero and -t + t == type(t).zero(LAYOUT)
+
+    def test_equal_tensors_hash_equal(self):
+        a, b = parse("x[1,1] + 2*x[2,1]", LAYOUT), parse("x[1,2] - x[1,1]", LAYOUT)
+        whole = TensorNCPoly.of_pair(a + b, b)
+        split = TensorNCPoly.of_pair(b, b) + TensorNCPoly.of_pair(a, b)
+        assert list(whole.terms) != list(split.terms)  # built in another order
+        assert whole == split and hash(whole) == hash(split)
+
+
 class TestNormalForm:
     def test_confluence_random_orders(self):
         # reducing u u* pairs in any order gives the same normal form

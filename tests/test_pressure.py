@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from orbfree.matrices import (
     spectral_clip,
 )
 from orbfree.moments import MomentTable, free_product, table_from_measure
-from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, letter_x, parse
+from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, format_poly, letter_x, parse
 from orbfree.pressure import (
     EtaEstimate,
     PressureEstimate,
@@ -145,6 +147,33 @@ class TestBasis:
     def test_excludes_constants(self):
         for b in selfadjoint_word_basis(LAYOUT, 2):
             assert b.degree >= 1
+
+    @pytest.mark.parametrize("r", [(1, 1), (2, 1), (1, 1, 1)])
+    def test_golden(self, r):
+        # recorded from a listing independent of _canonical_keys: every
+        # word in product order, keeping the first of each class
+        golden = json.loads((Path(__file__).parent / "data" / "selfadjoint_word_basis.json")
+                            .read_text())[f"n={len(r)} r={','.join(map(str, r))}"]
+        layout = FamilyLayout(n=len(r), r=r, R=2.0)
+        for d, count in enumerate(golden["counts"]):
+            got = [format_poly(b) for b in selfadjoint_word_basis(layout, d)]
+            assert got == golden["basis"][:count]
+
+
+class TestSampleConjugations:
+    def test_draws_when_read(self):
+        xi = semicircle_tuple(4)
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        orbit = sample_conjugations(xi, 3, rng)
+        assert rng.bit_generator.state == state
+        ref = np.random.default_rng(5)
+        want = [[haar_unitary(4, ref) for _ in range(2)] for _ in range(3)]
+        got = list(orbit)
+        assert len(got) == 3
+        for s, vs in zip(got, want):
+            assert [s.unitaries[i].tobytes() for i in (1, 2)] == [v.tobytes() for v in vs]
+            assert all(s.sa[k] is a for k, a in xi.sa.items())
 
 
 class TestEta:

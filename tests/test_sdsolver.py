@@ -77,6 +77,12 @@ class TestFreeHaarOracle:
         for k in (1, 2, 3):
             assert t.get((u1,) * k) == pytest.approx(0.0, abs=1e-14)
 
+    def test_one_oracle_per_problem(self):
+        prob = SDProblem(LAYOUT, small_h(), [MU, MU], D=8)
+        solver = sdsolver._Solver(prob, [(letter_u(1), letter_z(1, 1), ("U", 1, 0))])
+        assert solver.oracle is prob.oracle
+        assert prob.oracle.cache  # the solver's seed values stay for later readers
+
     def test_mixed_family_word(self):
         # u1 z1 u1* u2 z2 u2* realizes free x1 x2, whose trace factorizes
         # into the product of the (centered) marginal means
