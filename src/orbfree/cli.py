@@ -84,8 +84,9 @@ _STRING = (lambda v: isinstance(v, str), "a string")
 
 # (test, description) per spec key; keys absent from a spec take defaults
 SPEC_VALUES = {
-    "Ns": (lambda v: isinstance(v, list) and v and all(_is_int(N) and N >= 1 for N in v),
-           "a non-empty list of positive integers"),
+    "Ns": (lambda v: (isinstance(v, list) and v and all(_is_int(N) and N >= 1 for N in v)
+                      and len(set(v)) == len(v)),
+           "a non-empty list of distinct positive integers"),
     "seed": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
     "R": _POSITIVE_NUMBER,
     "m": _POSITIVE_INT,

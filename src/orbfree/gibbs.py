@@ -10,9 +10,9 @@ the chain's unitaries, ``microstates.with_unitaries(V)``, and h is evaluated
 on it; the energy comes from a plan compiled once from h, which reads every
 trace from ``matrices._TracePass``, on a lone state or on a stacked batch.
 
-Also provides mean tracial states, the thermodynamic-integration
-log-partition estimator, and microstate-set occupancy fractions.  Every
-log-mean-exp estimate lives in ``pressure``.
+Also provides mean tracial states and the thermodynamic-integration
+log-partition estimator.  Every log-mean-exp estimate lives in
+``pressure``.
 """
 
 from __future__ import annotations
@@ -25,11 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from .matrices import MatrixTuple, _TracePass, gue, haar_unitary, spectral_reflect
-from .moments import (
-    MomentTable,
-    empirical_state,
-    microstate_check,
-)
+from .moments import MomentTable, empirical_state
 from .poly import NCPoly
 
 __all__ = [
@@ -40,7 +36,6 @@ __all__ = [
     "run",
     "mean_tracial_state",
     "log_partition",
-    "occupancy",
 ]
 
 _IMAG_TOL = 1e-9
@@ -397,19 +392,3 @@ def log_partition(config: GibbsConfig, beta_grid: int = 11) -> tuple[float, floa
     err = float(math.sqrt(np.dot(w**2, np.asarray(errs) ** 2)))
     return est, err
 
-
-def occupancy(
-    chain: GibbsChain, target: MomentTable, m: int, delta: float
-) -> tuple[float, float]:
-    """Fraction of retained samples that lie in the microstate set of the
-    target (an orbital sample's x letters read V Xi V*), and (1/N^2) log
-    of that fraction (-inf when the fraction is zero)."""
-    if not chain.samples:
-        raise ValueError("chain has no retained samples")
-    return _occupancy(chain.samples, chain.config.N, target, m, delta)
-
-
-def _occupancy(states: Sequence[MatrixTuple], N: int, target: MomentTable, m: int,
-               delta: float) -> tuple[float, float]:
-    frac = sum(microstate_check(s, target, m, delta) for s in states) / len(states)
-    return frac, -math.inf if frac == 0.0 else math.log(frac) / N**2

@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from .poly import FamilyLayout, NCPoly, TensorNCPoly, Word
@@ -296,9 +295,11 @@ class SpectralMeasure:
             return 0.0 if k % 2 else abs(a) ** k
         if self.kind == "arcsine":
             a, b = self.params
-            # moments of the arcsine law via quadrature of the quantile
-            val, _ = quad(lambda q: self.quantile(q) ** k, 0, 1, limit=200)
-            return val
+            # binomial expansion about the midpoint; the even central
+            # moments of the arcsine law on [-r, r] are C(2j, j) (r/2)^(2j)
+            mid, rad = (a + b) / 2, (b - a) / 2
+            return sum(math.comb(k, 2 * j) * mid ** (k - 2 * j) * rad ** (2 * j)
+                       * math.comb(2 * j, j) / 4**j for j in range(k // 2 + 1))
         if self.kind == "atomic":
             return sum(w * p**k for p, w in self.params)
         return float(np.mean(np.asarray(self.params) ** k))

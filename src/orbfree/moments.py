@@ -1,6 +1,6 @@
 """Truncated tracial states as moment tables, empirical states (of a
-conjugated tuple for orbital ones), microstate membership tests, the
-centering recursion behind the free-product moment oracle, mixtures, and
+conjugated tuple for orbital ones), the centering recursion behind the
+free-product moment oracle, free cumulants, moment distances, and
 single-variable free entropy."""
 
 from __future__ import annotations
@@ -32,11 +32,9 @@ __all__ = [
     "MomentTable",
     "canonical_word",
     "empirical_state",
-    "microstate_check",
     "free_product",
     "free_cumulants",
     "moments_from_cumulants",
-    "mixture",
     "moment_distance",
     "chi_single",
     "table_from_measure",
@@ -199,24 +197,6 @@ def empirical_state(tup: MatrixTuple, m: int, alphabet: str = "x") -> MomentTabl
     return table
 
 
-def microstate_check(tup: MatrixTuple, target: MomentTable, m: int, delta: float) -> bool:
-    """Membership in the microstate set: every word of length <= m matches
-    the target within delta in absolute value.  One trace pass, which
-    evaluates words only up to the first that fails."""
-    if target.m < m:
-        raise ValueError("target degree insufficient")
-    letters = _alphabet_letters(tup.layout, target.alphabet)
-    trace = _TracePass(tup).trace
-    for w in _enumerate_words(letters, m):
-        key, flag = canonical_word(w)
-        got = trace(key)
-        if flag:
-            got = got.conjugate()
-        if abs(got - target.get(w)) >= delta:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # free product via the centering recursion
 
@@ -347,25 +327,7 @@ def moments_from_cumulants(kappa: Sequence[float | complex], m: int | None = Non
 
 
 # ---------------------------------------------------------------------------
-# mixtures and distances
-
-
-def mixture(tables: Sequence[MomentTable], weights: Sequence[float]) -> MomentTable:
-    if len(tables) != len(weights):
-        raise ValueError("one weight per table")
-    if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-12:
-        raise ValueError("weights must be nonnegative and sum to 1")
-    first = tables[0]
-    for t in tables[1:]:
-        if t.layout != first.layout or t.alphabet != first.alphabet or t.m != first.m:
-            raise ValueError("tables must share layout, alphabet, and degree")
-    out = MomentTable(first.layout, first.alphabet, first.m, first.R)
-    keys = set()
-    for t in tables:
-        keys.update(t.values)
-    for key in keys:
-        out.values[key] = sum(w * t.get(key) for t, w in zip(tables, weights))
-    return out
+# distances
 
 
 def moment_distance(t1: MomentTable, t2: MomentTable, m: int) -> float:

@@ -27,7 +27,6 @@ __all__ = [
     "parse",
     "format_poly",
     "derive_unitary",
-    "derive_fdq",
     "derive_liberation",
     "contract_theta",
     "cyclic_gradient",
@@ -421,22 +420,6 @@ def derive_unitary(i: int, p: NCPoly) -> TensorNCPoly:
                 items.append((w[: k + 1], w[k + 1 :], c))
             elif kind == "U":
                 items.append((w[:k], w[k:], -c))
-    return _tensor_from_terms(p.layout, items)
-
-
-def derive_fdq(i: int, j: int, p: NCPoly) -> TensorNCPoly:
-    """Free difference quotient in the letter x[i,j]: a word a x[i,j] b
-    contributes a (x) b."""
-    p.layout.check_xz(i, j)
-    alpha = p.alphabet()
-    if alpha - {"x"}:
-        raise ValueError("free difference quotient acts on the x alphabet")
-    target = letter_x(i, j)
-    items = []
-    for w, c in p.terms.items():
-        for k, l in enumerate(w):
-            if l == target:
-                items.append((w[:k], w[k + 1 :], c))
     return _tensor_from_terms(p.layout, items)
 
 

@@ -1,8 +1,7 @@
 """Finite-N estimators of the orbital free pressure, the exact
 finite-sample property suite, the Legendre-transform entropy estimator,
-equilibrium checks, the double (tensor) pressure, and the penalty
-polynomial, plus the pressure relation between the matrix and orbital
-ensembles."""
+the double (tensor) pressure, and the penalty polynomial, plus the
+pressure relation between the matrix and orbital ensembles."""
 
 from __future__ import annotations
 
@@ -45,7 +44,6 @@ __all__ = [
     "pressure_estimate",
     "finite_N_property_suite",
     "eta_estimate",
-    "equilibrium_check",
     "double_pressure",
     "penalty_poly",
     "pressure_relation_check",
@@ -390,45 +388,6 @@ def eta_estimate(
     value = min(0.0, float(best[0]))
     return EtaEstimate(target, basis, value, best[1], evals,
                        converged=bool(res.success))
-
-
-# ---------------------------------------------------------------------------
-# equilibrium check
-
-
-def equilibrium_check(
-    target: MomentTable,
-    h: NCPoly,
-    microstates_per_N: Sequence[tuple[int, MatrixTuple]],
-    m: int = 2,
-    delta: float = 0.2,
-    samples: int = 150,
-    seed: int = 0,
-    basis_degree: int = 2,
-) -> dict:
-    """Compare eta(target) against target(h) + pressure(h) and record the
-    occupancy trajectory of the target's microstate set."""
-    N_max, xi_max = microstates_per_N[-1]
-    eta = eta_estimate(target, xi_max, basis_degree=basis_degree,
-                       samples=samples, seed=seed)
-    report = {"diverged": eta.diverged}
-    if eta.diverged:
-        report["witness"] = eta.witness
-        return report
-    press = pressure_estimate(h, microstates_per_N,
-                              {"seed": seed, "samples": samples})
-    rhs = _target_pairing(target, h) + press.normalized[-1]
-    report["eta"] = eta.value
-    report["rhs"] = rhs
-    report["gap"] = eta.value - rhs
-    occ = []
-    for N, xi in microstates_per_N:
-        states = list(sample_conjugations(xi, samples, np.random.default_rng(seed + 7 * N)))
-        occ.append((N, *gibbs._occupancy(states, N, target, m, delta)))
-    report["occupancy"] = occ
-    slopes = [row[2] for row in occ if row[2] > -math.inf]
-    report["occupancy_slope"] = (slopes[-1] - slopes[0]) if len(slopes) > 1 else 0.0
-    return report
 
 
 # ---------------------------------------------------------------------------

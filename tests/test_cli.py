@@ -99,6 +99,7 @@ class TestVerify:
         ("pressure", [1, 2]),
         ("gibbs", {"gibbs": {"sweeps": 5, "burn_in": 10}}),
         ("relation-check", {"h": "0.1*x[1,1]^2", "gibbs": {"sweeps": 100}}),
+        ("pressure", {"Ns": [4, 4]}),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_invalid_sizes_exit_2(self, tmp_path, capsys, command, spec, flags):
@@ -415,7 +416,7 @@ class TestResolution:
         for k in (1, 2):
             (tmp_path / f"fam{k}.json").write_text(
                 matrix_file({(k, 1): np.diag([1.0, -1.0])}))
-        spec = write_spec(tmp_path, families=["fam1.json", "fam2.json"], Ns=[2, 2])
+        spec = write_spec(tmp_path, families=["fam1.json", "fam2.json"], Ns=[2])
         reads = []
         real_open = pathlib.Path.open
 
@@ -426,7 +427,7 @@ class TestResolution:
         monkeypatch.setattr(pathlib.Path, "open", counting_open)
         code, out = run(tmp_path, "pressure", spec)
         assert code == 0
-        assert [row["N"] for row in json.loads((out / "report.json").read_text())["per_N"]] == [2, 2]
+        assert [row["N"] for row in json.loads((out / "report.json").read_text())["per_N"]] == [2]
         assert sorted(name for name in reads if name.startswith("fam")) == ["fam1.json", "fam2.json"]
 
     @pytest.mark.parametrize("command", ["sd", "liberation"])

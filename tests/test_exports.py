@@ -73,3 +73,16 @@ def test_tracer_leaves_no_unwrapped_binding():
         timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # arcsine moments are closed-form, so the runtime needs no quadrature;
+    # a fresh process, since the test session imports scipy.integrate itself
+    script = ("import sys\n"
+              "sys.path[:0] = sys.argv[1:]\n"
+              "import orbfree.cli\n"
+              "print('scipy.integrate' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

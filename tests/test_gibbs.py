@@ -11,7 +11,6 @@ from orbfree.gibbs import (
     energy,
     log_partition,
     mean_tracial_state,
-    occupancy,
     run,
     step,
 )
@@ -24,7 +23,6 @@ from orbfree.matrices import (
     trace_evaluate,
 )
 from orbfree.moments import (
-    MomentTable,
     free_product,
     moment_distance,
     table_from_measure,
@@ -383,26 +381,6 @@ class TestLogPartition:
                           sweeps=3000, burn_in=500, thinning=3, seed=5)
         est, err = log_partition(cfg, beta_grid=7)
         assert est == pytest.approx(want, abs=max(0.03 * abs(want), 3 * err, 0.01))
-
-
-class TestOccupancy:
-    def test_tautological_target(self):
-        cfg = orbital_config(NCPoly.zero(LAYOUT), 8, sweeps=200, burn_in=40, eps=2.0)
-        chain = run(cfg)
-        t = mean_tracial_state(chain, 2)
-        frac, logf = occupancy(chain, t, 2, delta=1.0)
-        assert frac >= 0.99
-        assert logf <= 0.0
-
-    def test_impossible_target(self):
-        cfg = orbital_config(NCPoly.zero(LAYOUT), 4, sweeps=100, burn_in=20)
-        chain = run(cfg)
-        target = MomentTable(LAYOUT, "x", 2, LAYOUT.R)
-        target.set((X1,), LAYOUT.R + 1.0)
-        target.set((X2,), 0.0)
-        frac, logf = occupancy(chain, target, 1, delta=0.5)
-        assert frac == 0.0
-        assert logf == -math.inf
 
 
 class TestReproducibility:

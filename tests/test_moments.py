@@ -27,8 +27,6 @@ from orbfree.moments import (
     empirical_state,
     free_cumulants,
     free_product,
-    microstate_check,
-    mixture,
     moment_distance,
     moments_from_cumulants,
     table_from_measure,
@@ -193,41 +191,6 @@ class TestEmpiricalState:
         assert t.get((X1, X2)) == pytest.approx(0.7 * -1.2)
 
 
-class TestMicrostateCheck:
-    def _tuple_and_target(self):
-        rng = np.random.default_rng(3)
-        sa = {(i, 1): spectral_clip(gue(3, rng), 2.0) for i in (1, 2)}
-        tup = MatrixTuple(LAYOUT2, 3, sa=sa)
-        return tup, empirical_state(tup, 3)
-
-    def test_exact_member(self):
-        tup, target = self._tuple_and_target()
-        assert microstate_check(tup, target, 3, 1e-9)
-
-    def test_huge_delta(self):
-        tup, target = self._tuple_and_target()
-        big = 2 * LAYOUT2.R**3 + max(abs(v) for v in target.values.values())
-        other = MatrixTuple(LAYOUT2, 2, sa={(1, 1): np.diag([1.0, 1.0]).astype(complex),
-                                            (2, 1): np.diag([-2.0, 2.0]).astype(complex)})
-        assert microstate_check(other, target, 3, big + 1.0)
-
-    def test_deviation_detected(self):
-        target = MomentTable(LAYOUT2, "x", 1, 2.0)
-        target.set((X1,), 0.0)
-        target.set((X2,), 0.0)
-        tup = MatrixTuple(LAYOUT2, 2, sa={(1, 1): np.eye(2, dtype=complex),
-                                          (2, 1): np.zeros((2, 2), dtype=complex)})
-        assert not microstate_check(tup, target, 1, 0.5)
-
-    def test_orbital_check(self):
-        tup, target = self._tuple_and_target()
-        rng = np.random.default_rng(4)
-        eye = [np.eye(3, dtype=complex)] * 2
-        assert microstate_check(tup.conjugated(eye), target, 3, 1e-9)
-        vs = [haar_unitary(3, rng) for _ in range(2)]
-        assert microstate_check(tup.conjugated(vs), target, 1, 1e-9)
-
-
 class TestFreeProduct:
     def semicircle_pair(self, m=6):
         mu = SpectralMeasure.semicircle(2.0)
@@ -328,44 +291,6 @@ class TestFreeCumulants:
             mom = moments_from_cumulants(kappa)
             for n in range(1, 7):
                 assert mom[n - 1].real == pytest.approx(nc_moment(kappa, n), abs=1e-12)
-
-
-class TestMixture:
-    def make_tables(self):
-        t1 = table_from_measure(LAYOUT2, 1, 1, SpectralMeasure.atomic([(1.0, 1.0)]), 4)
-        t2 = table_from_measure(LAYOUT2, 1, 1, SpectralMeasure.atomic([(-1.0, 1.0)]), 4)
-        return t1, t2
-
-    def test_degenerate_weight(self):
-        t1, t2 = self.make_tables()
-        assert moment_distance(mixture([t1, t2], [1.0, 0.0]), t1, 4) == 0.0
-
-    def test_half_half_point_masses(self):
-        t1, t2 = self.make_tables()
-        mix = mixture([t1, t2], [0.5, 0.5])
-        x = letter_x(1, 1)
-        for k in range(1, 5):
-            want = 0.0 if k % 2 else 1.0
-            assert mix.get((x,) * k) == pytest.approx(want)
-
-    def test_self_mixture(self):
-        t1, _ = self.make_tables()
-        assert moment_distance(mixture([t1, t1], [0.3, 0.7]), t1, 4) == 0.0
-
-    def test_affine_exactly(self):
-        rng = np.random.default_rng(9)
-        sa1 = {(i, 1): spectral_clip(gue(3, rng), 2.0) for i in (1, 2)}
-        sa2 = {(i, 1): spectral_clip(gue(3, rng), 2.0) for i in (1, 2)}
-        t1 = empirical_state(MatrixTuple(LAYOUT2, 3, sa=sa1), 3)
-        t2 = empirical_state(MatrixTuple(LAYOUT2, 3, sa=sa2), 3)
-        mix = mixture([t1, t2], [0.25, 0.75])
-        for w in t1.words():
-            assert mix.get(w) == pytest.approx(0.25 * t1.get(w) + 0.75 * t2.get(w))
-
-    def test_bad_weights(self):
-        t1, t2 = self.make_tables()
-        with pytest.raises(ValueError):
-            mixture([t1, t2], [0.9, 0.2])
 
 
 class TestMomentDistance:

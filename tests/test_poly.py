@@ -13,7 +13,6 @@ from orbfree.poly import (
     TensorNCPoly,
     contract_theta,
     cyclic_gradient,
-    derive_fdq,
     derive_liberation,
     derive_unitary,
     format_poly,
@@ -201,12 +200,6 @@ class TestDerivations:
         expected = TensorNCPoly.of_pair(u1, zu) - TensorNCPoly.of_pair(uz, NCPoly.ustar(LAYOUT, 1))
         assert d == expected
 
-    def test_fdq_square(self):
-        x = NCPoly.x(LAYOUT, 1, 1)
-        d = derive_fdq(1, 1, x * x)
-        one = NCPoly.one(LAYOUT)
-        assert d == TensorNCPoly.of_pair(x, one) + TensorNCPoly.of_pair(one, x)
-
     def test_leibniz_all_modes(self):
         rng = random.Random(5)
         one = NCPoly.one(LAYOUT)
@@ -222,12 +215,11 @@ class TestDerivations:
         for _ in range(40):
             p = random_poly(rng, alphabet="x", max_degree=3)
             q = random_poly(rng, alphabet="x", max_degree=3)
-            for mode in (lambda r: derive_fdq(1, 1, r), lambda r: derive_liberation(1, r)):
-                lhs = mode(p * q)
-                rhs = mode(p) * TensorNCPoly.of_pair(one, q) + (
-                    TensorNCPoly.of_pair(p, one) * mode(q)
-                )
-                assert lhs == rhs
+            lhs = derive_liberation(1, p * q)
+            rhs = derive_liberation(1, p) * TensorNCPoly.of_pair(one, q) + (
+                TensorNCPoly.of_pair(p, one) * derive_liberation(1, q)
+            )
+            assert lhs == rhs
 
     def test_contract_theta(self):
         u1 = NCPoly.u(LAYOUT, 1)

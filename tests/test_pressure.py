@@ -21,7 +21,6 @@ from orbfree.pressure import (
     PressureEstimate,
     double_pressure,
     eta_estimate,
-    equilibrium_check,
     finite_N_property_suite,
     penalty_poly,
     pressure_estimate,
@@ -219,32 +218,6 @@ class TestEta:
         assert est.witness is not None
         objs = [v for _, v in est.trace]
         assert objs == sorted(objs, reverse=True)  # strictly decreasing ray
-
-
-class TestEquilibrium:
-    def test_free_target_h_zero(self):
-        mu = SpectralMeasure.semicircle(2.0)
-        per_N = [(N, semicircle_tuple(N)) for N in (8, 16)]
-        xi16 = per_N[-1][1]
-        emp = SpectralMeasure.empirical(np.diag(xi16.sa[(1, 1)]).real)
-        target = free_product([table_from_measure(LAYOUT, i, 1, emp, 3) for i in (1, 2)], 3)
-        report = equilibrium_check(target, NCPoly.zero(LAYOUT), per_N,
-                                   m=2, delta=0.3, samples=60, seed=1)
-        assert not report["diverged"]
-        assert abs(report["gap"]) <= 0.06
-        # occupancy log-fraction near zero for a generous delta
-        for _, frac, logf in report["occupancy"]:
-            assert frac > 0.5
-            assert logf > -0.05
-
-    def test_mismatch_flagged(self):
-        per_N = [(8, semicircle_tuple(8))]
-        bad = free_product(
-            [table_from_measure(LAYOUT, i, 1, SpectralMeasure.semicircle(2.0), 3)
-             for i in (1, 2)], 3)
-        bad.set((X1,), 1.5)
-        report = equilibrium_check(bad, NCPoly.zero(LAYOUT), per_N, samples=20)
-        assert report["diverged"]
 
 
 class TestDoublePressure:
