@@ -174,8 +174,9 @@ def _finite(*values: float) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Compactly supported probability measure on the line, given by a
-    quantile function.  Kinds: semicircle(radius), bernoulli(a),
-    arcsine(a, b), atomic(points/weights), empirical(sorted sample)."""
+    quantile function.  Kinds: semicircle(radius), arcsine(a, b),
+    atomic(points/weights), empirical(sorted sample); bernoulli(a) is the
+    atomic law with mass 1/2 at -|a| and at |a|."""
 
     kind: str
     params: tuple = ()
@@ -191,7 +192,8 @@ class SpectralMeasure:
 
     @staticmethod
     def bernoulli(a: float) -> "SpectralMeasure":
-        return SpectralMeasure("bernoulli", _finite(a))
+        (a,) = _finite(a)
+        return SpectralMeasure.atomic([(-abs(a), 0.5), (abs(a), 0.5)])
 
     @staticmethod
     def arcsine(a: float, b: float) -> "SpectralMeasure":
@@ -239,8 +241,6 @@ class SpectralMeasure:
     def support_radius(self) -> float:
         if self.kind == "semicircle":
             return self.params[0]
-        if self.kind == "bernoulli":
-            return abs(self.params[0])
         if self.kind == "arcsine":
             return max(abs(self.params[0]), abs(self.params[1]))
         if self.kind == "atomic":
@@ -262,9 +262,6 @@ class SpectralMeasure:
             if q >= 1.0:
                 return rad
             return brentq(lambda x: cdf(x) - q, -rad, rad, xtol=1e-13)
-        if self.kind == "bernoulli":
-            (a,) = self.params
-            return -abs(a) if q <= 0.5 else abs(a)
         if self.kind == "arcsine":
             a, b = self.params
             return a + (b - a) * math.sin(math.pi * q / 2) ** 2
@@ -290,9 +287,6 @@ class SpectralMeasure:
             m = k // 2
             catalan = math.comb(2 * m, m) // (m + 1)
             return catalan * (rad / 2.0) ** k
-        if self.kind == "bernoulli":
-            (a,) = self.params
-            return 0.0 if k % 2 else abs(a) ** k
         if self.kind == "arcsine":
             a, b = self.params
             # binomial expansion about the midpoint; the even central

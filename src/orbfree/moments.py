@@ -363,7 +363,7 @@ def chi_single(mu: SpectralMeasure) -> float:
     if mu.kind == "arcsine":
         a, b = mu.params
         return math.log((b - a) / 4.0) + _CHI_CONST
-    if mu.kind in ("bernoulli", "atomic"):
+    if mu.kind == "atomic":
         return -math.inf
     if mu.kind == "empirical":
         lam = np.asarray(mu.params, dtype=float)

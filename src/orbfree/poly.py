@@ -7,6 +7,12 @@ rules are the unit relations u[i]u'[i] = u'[i]u[i] = 1.  Coefficients are
 exact rational complex numbers so that all symbolic identities can be
 checked with tolerance zero; conversion to ``complex`` happens only at
 numeric evaluation time.
+
+Derivations act on words letter by letter: the unitary derivation d_i on
+(u, z)-words, and the liberation derivation on x-words, which sends each
+x-letter of family i to x (x) 1 - 1 (x) x.  In the text grammar a number,
+real or imaginary (``2``, ``1/2``, ``2i``, ``3/4i``), is a factor like a
+generator, so the printed coefficient ``(1/2-3/4i)`` is a parenthesized sum.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable
 
 __all__ = [
@@ -57,9 +64,6 @@ class QC:
 
     def __add__(self, other: "QC") -> "QC":
         return QC(self.re + other.re, self.im + other.im)
-
-    def __sub__(self, other: "QC") -> "QC":
-        return QC(self.re - other.re, self.im - other.im)
 
     def __mul__(self, other: "QC") -> "QC":
         return QC(
@@ -312,9 +316,6 @@ class NCPoly(_Combination):
             return NCPoly(self.layout, _products(self, other, lambda w1, w2: reduce_word(w1 + w2)))
         return self.scale(other)
 
-    def __rmul__(self, scalar) -> "NCPoly":
-        return self.scale(scalar)
-
     def adjoint(self) -> "NCPoly":
         return NCPoly(
             self.layout,
@@ -375,15 +376,6 @@ class TensorNCPoly(_Combination):
         return TensorNCPoly(self.layout, _products(
             self, other, lambda k1, k2: (reduce_word(k1[0] + k2[0]), reduce_word(k1[1] + k2[1]))))
 
-    def adjoint(self) -> "TensorNCPoly":
-        return TensorNCPoly(
-            self.layout,
-            {
-                (adjoint_word(a), adjoint_word(b)): c.conjugate()
-                for (a, b), c in self.terms.items()
-            },
-        )
-
     def __repr__(self) -> str:
         parts = []
         for (a, b), c in sorted(
@@ -404,46 +396,45 @@ def _tensor_from_terms(layout, items: Iterable[tuple[Word, Word, QC]]) -> Tensor
 # derivations
 
 
+def _unitary_terms(i: int, w: Word):
+    """d_i on one word, in word order: (w[:k+1], w[k+1:], +1.0) for each
+    u_i at k and (w[:k], w[k:], -1.0) for each u_i* at k."""
+    u, ustar = letter_u(i), letter_ustar(i)
+    for k, l in enumerate(w):
+        if l == u:
+            yield w[: k + 1], w[k + 1 :], 1.0
+        elif l == ustar:
+            yield w[:k], w[k:], -1.0
+
+
 def derive_unitary(i: int, p: NCPoly) -> TensorNCPoly:
     """Derivation in the i-th unitary: u_i -> u_i (x) 1,
     u_i* -> -1 (x) u_i*, zero on the z-letters."""
     p.layout.check_family(i)
     if "x" in p.alphabet():
         raise ValueError("unitary derivation acts on the (u, z) alphabet")
-    items: list[tuple[Word, Word, QC]] = []
-    for w, c in p.terms.items():
-        for k, l in enumerate(w):
-            kind, fam, _ = l
-            if fam != i:
-                continue
-            if kind == "u":
-                items.append((w[: k + 1], w[k + 1 :], c))
-            elif kind == "U":
-                items.append((w[:k], w[k:], -c))
-    return _tensor_from_terms(p.layout, items)
+    return _tensor_from_terms(p.layout, (
+        (a, b, c if sign > 0 else -c)
+        for w, c in p.terms.items() for a, b, sign in _unitary_terms(i, w)))
 
 
 def derive_liberation(i: int, p: NCPoly) -> TensorNCPoly:
-    """Liberation derivation on x-polynomials, computed by substituting
-    x -> u z u*, applying the unitary derivation, and sandwiching with
-    -(1 (x) u_i)(-)(u_i* (x) 1).  The result is re-expressed in x-letters
-    (this is always possible; asserted)."""
+    """Liberation derivation in family i on x-polynomials: each x-letter
+    of family i goes to x (x) 1 - 1 (x) x, every other letter to 0.  By
+    Leibniz, a term c*w gets, for each maximal run w[s:e] of family-i
+    letters from left to right, the terms -c w[:s] (x) w[s:] and
+    +c w[:e] (x) w[e:]; the inner letters of a run cancel in pairs."""
     p.layout.check_family(i)
     if p.alphabet() - {"x"}:
         raise ValueError("liberation derivation acts on the x alphabet")
-    sub = substitute_x(p)
-    d = derive_unitary(i, sub)
-    ui = (letter_u(i),)
-    ustar = (letter_ustar(i),)
-    items = []
-    for (a, b), c in d.terms.items():
-        items.append((a + ustar, ui + b, -c))
-    sandwiched = _tensor_from_terms(p.layout, items)
-    # every tensor leg lies in the image of the substitution
-    back: dict[tuple[Word, Word], QC] = {}
-    for (a, b), c in sandwiched.terms.items():
-        back[(unsubstitute_x_word(a, p.layout), unsubstitute_x_word(b, p.layout))] = c
-    return TensorNCPoly(p.layout, back)
+    items: list[tuple[Word, Word, QC]] = []
+    for w, c in p.terms.items():
+        e = 0
+        for fam, run in groupby(w, key=lambda l: l[1]):
+            s, e = e, e + len(list(run))
+            if fam == i:
+                items += [(w[:s], w[s:], -c), (w[:e], w[e:], c)]
+    return _tensor_from_terms(p.layout, items)
 
 
 def contract_theta(t: TensorNCPoly) -> NCPoly:
@@ -473,29 +464,6 @@ def substitute_x(p: NCPoly) -> NCPoly:
     return NCPoly(p.layout, terms)
 
 
-def unsubstitute_x_word(w: Word, layout: FamilyLayout) -> Word:
-    """Inverse of the substitution on reduced (u, z)-words of the form
-    u_i z.. z u_i* u_k z.. z u_k* ...; raises if the word is not in the
-    image."""
-    out: list[Letter] = []
-    pos = 0
-    m = len(w)
-    while pos < m:
-        kind, i, _ = w[pos]
-        if kind != "u":
-            raise ValueError(f"word not in the substitution image: {w}")
-        pos += 1
-        nz = 0
-        while pos < m and w[pos][0] == "z" and w[pos][1] == i:
-            out.append(letter_x(i, w[pos][2]))
-            nz += 1
-            pos += 1
-        if nz == 0 or pos >= m or w[pos] != letter_ustar(i):
-            raise ValueError(f"word not in the substitution image: {w}")
-        pos += 1
-    return tuple(out)
-
-
 def liberation_gradient(i: int, h: NCPoly) -> NCPoly:
     """Liberation gradient of a self-adjoint x-polynomial: the element
     -u_i (D_i h(u z u*)) u_i* implementing the contracted liberation
@@ -523,8 +491,8 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<uprime>u'\[)
   | (?P<gen>[xzu]\[)
-  | (?P<num>\d+(?:\.\d+)?(?:/\d+)?)
-  | (?P<op>[-+*^(),\[\]i])
+  | (?P<num>\d+(?:\.\d+)?(?:/\d+)?i?)
+  | (?P<op>[-+*^(),\[\]])
   | (?P<ws>\s+)
 """,
     re.VERBOSE,
@@ -545,11 +513,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/")
-        return Fraction(Fraction(num), Fraction(den))
-    return Fraction(text)
+def _number(text: str) -> QC:
+    """A number token; a trailing ``i`` makes it imaginary."""
+    num, _, den = text.rstrip("i").partition("/")
+    f = Fraction(Fraction(num), Fraction(den or 1))
+    return QC(Fraction(0), f) if text.endswith("i") else QC(f, Fraction(0))
 
 
 class _Parser:
@@ -583,55 +551,11 @@ class _Parser:
         return acc
 
     def parse_term(self) -> NCPoly:
-        acc = self.parse_coeff_or_factor()
+        acc = self.parse_factor()
         while self.peek()[1] == "*":
             self.next()
             acc = acc * self.parse_factor()
         return acc
-
-    def parse_coeff_or_factor(self) -> NCPoly:
-        kind, text, pos = self.peek()
-        if kind == "num":
-            self.next()
-            return NCPoly.one(self.layout).scale(QC(_fraction(text), Fraction(0)))
-        if text == "(" and self._looks_like_complex():
-            return NCPoly.one(self.layout).scale(self.parse_complex())
-        return self.parse_factor()
-
-    def _looks_like_complex(self) -> bool:
-        # "(" num ("+"|"-") num "i" ")"
-        save = self.k
-        try:
-            if self.tokens[save][1] != "(":
-                return False
-            j = save + 1
-            if self.tokens[j][1] in ("+", "-"):
-                j += 1
-            if self.tokens[j][0] != "num":
-                return False
-            j += 1
-            if self.tokens[j][1] not in ("+", "-"):
-                return False
-            j += 1
-            if self.tokens[j][0] != "num":
-                return False
-            j += 1
-            return self.tokens[j][1] == "i" and self.tokens[j + 1][1] == ")"
-        except IndexError:
-            return False
-
-    def parse_complex(self) -> QC:
-        self.expect("(")
-        sign = 1
-        if self.peek()[1] in ("+", "-"):
-            sign = -1 if self.next()[1] == "-" else 1
-        re_part = _fraction(self.next()[1]) * sign
-        op = self.next()[1]
-        im_sign = -1 if op == "-" else 1
-        im_part = _fraction(self.next()[1]) * im_sign
-        self.expect("i")
-        self.expect(")")
-        return QC(re_part, im_part)
 
     def parse_factor(self) -> NCPoly:
         base = self.parse_atom()
@@ -649,6 +573,8 @@ class _Parser:
 
     def parse_atom(self) -> NCPoly:
         kind, text, pos = self.next()
+        if kind == "num":
+            return NCPoly.one(self.layout).scale(_number(text))
         if text == "(":
             inner = self.parse_poly()
             self.expect(")")

@@ -34,6 +34,7 @@ from .poly import (
     Letter,
     NCPoly,
     Word,
+    _unitary_terms,
     cyclic_gradient,
     derive_liberation,
     liberation_gradient,
@@ -64,7 +65,7 @@ def _component(letter: Letter) -> tuple[str, int]:
 class SDProblem:
     layout: FamilyLayout
     h: NCPoly  # over the x alphabet
-    tau0: Sequence  # per family: SpectralMeasure or single-family z MomentTable
+    tau0: Sequence[SpectralMeasure]  # the z-marginal of each family
     D: int = 8
     damping: float = 0.5
     max_iter: int = 200
@@ -107,16 +108,10 @@ class SDProblem:
             if kind == "u":
                 # reduced runs are pure powers u^k or (u*)^k; Haar moments vanish
                 return 0.0 + 0.0j
-            return self.marginal(fam, block)
+            # single-variable family: block is a power of one z letter
+            return complex(self.tau0[fam - 1].moment(len(block)))
 
         return _CenteringRecursion(_component, marginal)
-
-    def marginal(self, family: int, block: Word) -> complex:
-        src = self.tau0[family - 1]
-        if isinstance(src, SpectralMeasure):
-            # single-variable family: block is a power of one z letter
-            return complex(src.moment(len(block)))
-        return src.get(block)
 
 
 @dataclass
@@ -151,15 +146,6 @@ def _lookup(values: dict[Word, complex], oracle: _CenteringRecursion, w) -> comp
 
 # ---------------------------------------------------------------------------
 # update rules
-
-
-def _derive_terms(i: int, w: Word):
-    """d_i applied to a single word: (left, right, sign) triples."""
-    for k, l in enumerate(w):
-        if l == ("u", i, 0):
-            yield w[: k + 1], w[k + 1 :], 1.0
-        elif l == ("U", i, 0):
-            yield w[:k], w[k:], -1.0
 
 
 def _pick_rotation(w: Word) -> tuple[int, Word, bool]:
@@ -218,7 +204,7 @@ class _Solver:
     def _make_plan(self, w: Word):
         i, rot, at_end = _pick_rotation(w)
         lhs_terms = []
-        for a, b, sign in _derive_terms(i, rot):
+        for a, b, sign in _unitary_terms(i, rot):
             if at_end and a == rot and not b:
                 continue  # the isolated term tau(w) itself
             if not at_end and not a and b == rot:
@@ -332,7 +318,7 @@ def sd_residual(table: MomentTable, problem: SDProblem) -> float:
         cap = min(cap, 3)  # keeps enumeration over the uz alphabet bounded
         for p in _enumerate_words(_alphabet_letters(layout, "uz"), cap):
             lhs = 0.0 + 0.0j
-            for a, b, sign in _derive_terms(i, p):
+            for a, b, sign in _unitary_terms(i, p):
                 lhs += sign * tau(a) * tau(b)
             rhs = 0.0 + 0.0j
             for v, c in g.terms.items():

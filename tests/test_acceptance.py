@@ -9,7 +9,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 import scipy.integrate
 
 from orbfree import gibbs as gibbs_mod

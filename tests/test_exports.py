@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import json
@@ -86,3 +87,29 @@ def test_cli_import_leaves_scipy_integrate_out():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads and does not list in __all__."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name) and node.targets[0].id == "__all__"):
+            read |= set(ast.literal_eval(node.value))
+    return [f"{path.relative_to(ROOT)}:{line} {name}"
+            for name, line in sorted(imported.items(), key=lambda kv: kv[1]) if name not in read]
+
+
+def test_no_unused_imports():
+    files = sorted(f for d in ("src/orbfree", "tests", "scripts") for f in (ROOT / d).rglob("*.py"))
+    assert [entry for f in files for entry in _unused_imports(f)] == []

@@ -30,7 +30,6 @@ from orbfree.moments import (
     moment_distance,
     moments_from_cumulants,
     table_from_measure,
-    x_letters,
 )
 from orbfree.poly import (
     FamilyLayout,

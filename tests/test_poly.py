@@ -94,6 +94,24 @@ class TestParse:
                 parse(text, LAYOUT)
             assert err.value.position == pos
 
+    @pytest.mark.parametrize("text, want", [
+        ("x[1,1]*2", {(letter_x(1, 1),): QC(Fraction(2), Fraction(0))}),
+        ("2^3", {(): QC(Fraction(8), Fraction(0))}),
+        ("(0+1i)^2", {(): QC(Fraction(-1), Fraction(0))}),
+        ("2i*x[1,1]", {(letter_x(1, 1),): QC(Fraction(0), Fraction(2))}),
+        ("(1/2-3/4i)*x[1,1]", {(letter_x(1, 1),): QC(Fraction(1, 2), Fraction(-3, 4))}),
+        ("x[2,1]*3/4i - 1.5", {(letter_x(2, 1),): QC(Fraction(0), Fraction(3, 4)),
+                               (): QC(Fraction(-3, 2), Fraction(0))}),
+    ])
+    def test_numbers_are_factors(self, text, want):
+        assert parse(text, LAYOUT).terms == want
+
+    @pytest.mark.parametrize("text, pos", [("(1+2i", 5), ("2*", 2), ("x[1,1] 2", 7)])
+    def test_malformed_number_input(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text, LAYOUT)
+        assert err.value.position == pos
+
     def test_roundtrip(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -220,6 +238,32 @@ class TestDerivations:
                 TensorNCPoly.of_pair(p, one) * derive_liberation(1, q)
             )
             assert lhs == rhs
+
+    def test_liberation_on_a_letter(self):
+        one = NCPoly.one(LAYOUT)
+        for i, j in ((1, 1), (1, 2), (2, 1)):
+            x = NCPoly.x(LAYOUT, i, j)
+            assert derive_liberation(i, x) == TensorNCPoly.of_pair(x, one) - TensorNCPoly.of_pair(one, x)
+            assert derive_liberation(3 - i, x).is_zero
+
+    def test_liberation_matches_letter_by_letter_leibniz(self):
+        # family 1 has the runs x11 x12 and x11, family 2 the runs x21 and x21
+        word = (letter_x(1, 1), letter_x(1, 2), letter_x(2, 1), letter_x(1, 1), letter_x(2, 1))
+        c = QC(Fraction(2), Fraction(-1, 3))
+        p = NCPoly.monomial(LAYOUT, word, c)
+        for i in (1, 2):
+            # each letter of family i: w[:k+1] (x) w[k+1:] - w[:k] (x) w[k:]
+            want = TensorNCPoly.zero(LAYOUT)
+            for k, letter in enumerate(word):
+                if letter[1] == i:
+                    want = want + TensorNCPoly.of_pair(
+                        NCPoly.monomial(LAYOUT, word[: k + 1], c), NCPoly.monomial(LAYOUT, word[k + 1 :]))
+                    want = want - TensorNCPoly.of_pair(
+                        NCPoly.monomial(LAYOUT, word[:k], c), NCPoly.monomial(LAYOUT, word[k:]))
+            got = derive_liberation(i, p)
+            assert got == want
+            # terms come run by run, -c before +c; liberation_check sums in this order
+            assert [len(a) for a, _ in got.terms] == {1: [0, 2, 3, 4], 2: [2, 3, 4, 5]}[i]
 
     def test_contract_theta(self):
         u1 = NCPoly.u(LAYOUT, 1)

@@ -17,7 +17,6 @@ from orbfree.matrices import (
 from orbfree.moments import MomentTable, free_product, table_from_measure
 from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, format_poly, letter_x, parse
 from orbfree.pressure import (
-    EtaEstimate,
     PressureEstimate,
     double_pressure,
     eta_estimate,

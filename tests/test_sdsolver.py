@@ -1,5 +1,4 @@
 import hashlib
-import math
 
 import numpy as np
 import pytest
@@ -7,7 +6,6 @@ import pytest
 from orbfree import moments, sdsolver
 from orbfree.matrices import SpectralMeasure
 from orbfree.moments import (
-    MomentTable,
     free_product,
     moment_distance,
     table_from_measure,
