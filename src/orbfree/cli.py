@@ -153,8 +153,6 @@ def parse_h(spec: dict, layout: FamilyLayout, key: str = "h") -> NCPoly:
         p = parse(text, layout)
     except ParseError as err:
         raise ValidationError(f"polynomial {key!r} rejected at position {err.position}: {err}")
-    except (ValueError, ZeroDivisionError) as err:
-        raise ValidationError(f"polynomial {key!r} rejected: {err}")
     letter = next((l for w in p.terms for l in w if l[0] != "x"), None)
     if letter is not None:
         # h is a polynomial in the conjugated variables x[i,j] = V Xi V*, the
@@ -314,6 +312,19 @@ def resolve(spec: dict, base: Path, command: str) -> Resolved:
     if "h2" in spec:
         h2 = parse_h(spec, layout, "h2")
         checks.append("h2 parses")
+    # the largest power of R a command forms: pressure and the property
+    # suite bound the norms of h and h - h2, relation-check evaluates h on
+    # matrices of norm up to R, and a matrix-kind gibbs chain does too and
+    # squares each degree-m moment for its stderr
+    degree = {"pressure": h.degree, "relation-check": h.degree,
+              "property-suite": max(h.degree, (h2 or h).degree)}.get(command, 0)
+    if command == "gibbs" and g.get("kind") == "matrix":
+        degree = max(h.degree, 2 * values["m"])
+    try:
+        layout.R ** degree
+    except OverflowError:
+        raise ValidationError(f"'R' = {layout.R!r} to the power {degree}, the largest degree "
+                              f"{command} evaluates, overflows a float") from None
     return Resolved(layout, h, h2, loaded, g, problem, checks, **values)
 
 

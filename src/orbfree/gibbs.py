@@ -58,8 +58,12 @@ class GibbsConfig:
     def __post_init__(self):
         if self.kind not in ("unitary-orbital", "matrix"):
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
-        if self.eps <= 0:
-            raise ValueError("step size must be positive")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise ValueError(f"step size must be positive and finite, got {self.eps!r}")
+        if not math.isfinite(self.beta):
+            raise ValueError(f"beta must be finite, got {self.beta!r}")
+        if self.thinning < 1:
+            raise ValueError(f"thinning must be at least 1, got {self.thinning!r}")
         if not (self.sweeps > self.burn_in >= 0):
             raise ValueError("need sweeps > burn_in >= 0")
         if not self.h.is_selfadjoint():
@@ -93,7 +97,6 @@ class GibbsChain:
     raw: float  # Re tr_N h of state, carried so each state is scored once
     eps: float
     rng: np.random.Generator
-    sweep: int = 0
     accepted: int = 0
     proposed: int = 0
     energy_trace: list = field(default_factory=list)  # (sweep, beta, energy, acc rate)
@@ -145,8 +148,8 @@ class _Batch(MatrixTuple):
     @classmethod
     def of(cls, stack: dict, config: GibbsConfig) -> "_Batch":
         if config.kind == "unitary-orbital":
-            return cls._unchecked(config.layout, config.N, config.microstates.sa, stack, False)
-        return cls._unchecked(config.layout, config.N, stack, {}, False)
+            return cls._unchecked(config.layout, config.N, config.microstates.sa, stack)
+        return cls._unchecked(config.layout, config.N, stack, {})
 
     @property
     def size(self) -> int:
@@ -157,8 +160,7 @@ def _unstack(stack: dict, k: int, config: GibbsConfig) -> MatrixTuple:
     """State k of a stacked batch."""
     if config.kind == "unitary-orbital":
         return config.microstates.with_unitaries([a[k] for a in stack.values()])
-    return MatrixTuple._unchecked(config.layout, config.N, {s: a[k] for s, a in stack.items()},
-                                  {}, check_norm=False)
+    return MatrixTuple._unchecked(config.layout, config.N, {s: a[k] for s, a in stack.items()}, {})
 
 
 class _Plan:
@@ -201,7 +203,7 @@ class _Plan:
         return re
 
 
-def energy(state: MatrixTuple, config: GibbsConfig, beta: float | None = None):
+def energy(state: MatrixTuple, config: GibbsConfig):
     """N^2 * beta * Re tr_N h on a state.
 
     The sweep kernel passes a batch of B states instead and gets back
@@ -213,7 +215,7 @@ def energy(state: MatrixTuple, config: GibbsConfig, beta: float | None = None):
     if config.h.is_zero:
         return 0.0
     raw = float(config._plan.raw(state)[0])
-    return _energy(config, config.beta if beta is None else beta, raw)
+    return _energy(config, config.beta, raw)
 
 
 def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple:
@@ -225,11 +227,13 @@ def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple
     for i in range(1, lay.n + 1):
         for j in range(1, lay.r[i - 1] + 1):
             sa[(i, j)] = spectral_reflect(config.R * gue(config.N, rng), config.R)
-    return MatrixTuple._unchecked(lay, config.N, sa, {}, check_norm=False)
+    return MatrixTuple._unchecked(lay, config.N, sa, {})
 
 
-def _start(config: GibbsConfig, rng: np.random.Generator) -> GibbsChain:
-    """A chain at its initial state; its raw value is set by _run_chains."""
+def _start(config: GibbsConfig) -> GibbsChain:
+    """A chain at its initial state, drawing from default_rng(config.seed);
+    its raw value is set by _run_chains."""
+    rng = np.random.default_rng(config.seed)
     return GibbsChain(config, _initial_state(config, rng), math.nan, config.eps, rng)
 
 
@@ -263,8 +267,6 @@ def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> di
                 chain.accepted += 1
             accept.append(ok)
         stack = {**stack, slot: np.where(np.array(accept)[:, None, None], moved, stack[slot])}
-    for chain in chains:
-        chain.sweep += 1
     return stack
 
 
@@ -314,10 +316,10 @@ def step(chain: GibbsChain) -> GibbsChain:
     return chain
 
 
-def run(config: GibbsConfig, rng: np.random.Generator | None = None) -> GibbsChain:
+def run(config: GibbsConfig) -> GibbsChain:
     """Run a full chain: burn-in with step-size auto-tuning (frozen
     afterwards, preserving detailed balance), then thinned sampling."""
-    chain = _start(config, np.random.default_rng(config.seed) if rng is None else rng)
+    chain = _start(config)
     _run_chains([chain], config, record=True)
     return chain
 
@@ -369,7 +371,7 @@ def _ladder(config: GibbsConfig, beta_grid: int, record: bool = False) -> list[G
     record."""
     subs = [replace(config, beta=float(b), seed=config.seed + 1000 * k)
             for k, b in enumerate(np.linspace(0.0, 1.0, beta_grid))]
-    chains = [_start(sub, np.random.default_rng(sub.seed)) for sub in subs]
+    chains = [_start(sub) for sub in subs]
     _run_chains(chains, config, record)
     return chains
 

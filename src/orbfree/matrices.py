@@ -4,7 +4,7 @@ spectral clipping, and evaluation of polynomials on matrix tuples."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,11 +51,11 @@ class MatrixTuple:
     N: int
     sa: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     unitaries: dict[int, np.ndarray] = field(default_factory=dict)
-    check_norm: bool = True
+    check_norm: InitVar[bool] = True  # check each sa matrix against the cutoff R
     _traces: dict[Word, complex] = field(default_factory=dict, init=False, repr=False,
                                          compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, check_norm: bool):
         for (i, j), a in self.sa.items():
             self.layout.check_xz(i, j)
             a = np.asarray(a, dtype=complex)
@@ -63,7 +63,7 @@ class MatrixTuple:
                 raise ValueError(f"matrix ({i},{j}) has shape {a.shape}, want {(self.N, self.N)}")
             if np.max(np.abs(a - a.conj().T)) > _HERMITICITY_TOL * max(1.0, np.max(np.abs(a))):
                 raise ValueError(f"matrix ({i},{j}) is not Hermitian")
-            if self.check_norm:
+            if check_norm:
                 nrm = np.linalg.norm(a, 2)
                 if nrm > self.layout.R + 1e-9:
                     raise ValueError(
@@ -87,13 +87,11 @@ class MatrixTuple:
         for (i, j), a in self.sa.items():
             v = unitaries[i - 1]
             sa[(i, j)] = v @ a @ v.conj().T
-        return MatrixTuple._unchecked(self.layout, self.N, sa, dict(self.unitaries),
-                                      self.check_norm)
+        return MatrixTuple._unchecked(self.layout, self.N, sa, dict(self.unitaries))
 
     def with_unitaries(self, unitaries: Sequence[np.ndarray]) -> "MatrixTuple":
         return MatrixTuple._unchecked(self.layout, self.N, dict(self.sa),
-                                      {i + 1: v for i, v in enumerate(unitaries)},
-                                      self.check_norm)
+                                      {i + 1: v for i, v in enumerate(unitaries)})
 
     @classmethod
     def _unchecked(
@@ -102,7 +100,6 @@ class MatrixTuple:
         N: int,
         sa: dict[tuple[int, int], np.ndarray],
         unitaries: dict[int, np.ndarray],
-        check_norm: bool,
     ) -> "MatrixTuple":
         """Build without validation, from matrices the caller has already
         made Hermitian (and unitary) at dimension N; the memo starts empty."""
@@ -111,7 +108,6 @@ class MatrixTuple:
         out.N = N
         out.sa = sa
         out.unitaries = unitaries
-        out.check_norm = check_norm
         out._traces = {}
         return out
 

@@ -78,9 +78,8 @@ def canonical_word(w: Iterable[Letter]) -> tuple[Word, bool]:
 # moment tables
 
 
-def x_letters(layout: FamilyLayout, family: int | None = None) -> list[Letter]:
-    fams = [family] if family is not None else range(1, layout.n + 1)
-    return [letter_x(i, j) for i in fams for j in range(1, layout.r[i - 1] + 1)]
+def x_letters(layout: FamilyLayout) -> list[Letter]:
+    return [letter_x(i, j) for i in range(1, layout.n + 1) for j in range(1, layout.r[i - 1] + 1)]
 
 
 def _alphabet_letters(layout: FamilyLayout, alphabet: str) -> list[Letter]:
@@ -117,25 +116,17 @@ class MomentTable:
         v = self.values[key]
         return v.conjugate() if flag else v
 
-    def has(self, w: Iterable[Letter]) -> bool:
-        key, _ = canonical_word(w)
-        return key in self.values
-
     def set(self, w: Iterable[Letter], value: complex) -> None:
         key, flag = canonical_word(w)
         value = complex(value)
         self.values[key] = value.conjugate() if flag else value
 
-    def words(self, max_len: int | None = None) -> list[Word]:
-        cap = self.m if max_len is None else max_len
-        return [w for w in self.values if len(w) <= cap]
-
-    def check_invariants(self, tol: float = 1e-10) -> None:
-        if abs(self.values[()] - 1.0) > tol:
+    def check_invariants(self) -> None:
+        if abs(self.values[()] - 1.0) > 1e-10:
             raise ValueError("trace of the unit must be 1")
         for w, v in self.values.items():
             bound = self.R ** xz_letter_count(w)
-            if abs(v) > bound * (1.0 + 1e-9) + tol:
+            if abs(v) > bound * (1.0 + 1e-9) + 1e-10:
                 raise ValueError(f"moment bound violated at {w}: |{v}| > {bound}")
 
     # -- serialization -----------------------------------------------------
@@ -185,14 +176,14 @@ def _canonical_keys(letters: tuple[Letter, ...], m: int) -> tuple[Word, ...]:
     return tuple(keys)
 
 
-def empirical_state(tup: MatrixTuple, m: int, alphabet: str = "x") -> MomentTable:
-    """Moment table of normalized traces over all words of length <= m,
+def empirical_state(tup: MatrixTuple, m: int) -> MomentTable:
+    """Moment table of normalized traces over all x-words of length <= m,
     in one trace pass over the tuple."""
     if m < 1:
         raise ValueError("degree bound must be >= 1")
-    table = MomentTable(tup.layout, alphabet, m, tup.layout.R)
+    table = MomentTable(tup.layout, "x", m, tup.layout.R)
     trace = _TracePass(tup).trace
-    for key in _canonical_keys(tuple(_alphabet_letters(tup.layout, alphabet)), m):
+    for key in _canonical_keys(tuple(x_letters(tup.layout)), m):
         table.values[key] = trace(key)
     return table
 
@@ -299,29 +290,25 @@ def _composition_sum(mom: Sequence[complex], s: int, total: int) -> complex:
     return acc
 
 
-def free_cumulants(moments: Sequence[float | complex], m: int | None = None) -> list[complex]:
+def free_cumulants(moments: Sequence[float | complex]) -> list[complex]:
     """Free cumulants (kappa_1, ..., kappa_m) from raw moments
     (m_1, ..., m_m) by inverting the moment-cumulant recursion
 
         m_n = sum_s kappa_s * sum_{i_1+...+i_s = n-s} m_{i_1} ... m_{i_s}.
     """
-    if m is None:
-        m = len(moments)
-    mom = [1.0 + 0.0j] + [complex(v) for v in moments[:m]]
+    mom = [1.0 + 0.0j] + [complex(v) for v in moments]
     kappa: list[complex] = []
-    for n in range(1, m + 1):
+    for n in range(1, len(moments) + 1):
         rest = sum(kappa[s - 1] * _composition_sum(mom, s, n - s) for s in range(1, n))
         kappa.append(mom[n] - rest)
     return kappa
 
 
-def moments_from_cumulants(kappa: Sequence[float | complex], m: int | None = None) -> list[complex]:
+def moments_from_cumulants(kappa: Sequence[float | complex]) -> list[complex]:
     """Inverse of free_cumulants: rebuild raw moments from cumulants."""
-    if m is None:
-        m = len(kappa)
-    kap = [complex(v) for v in kappa[:m]]
+    kap = [complex(v) for v in kappa]
     mom = [1.0 + 0.0j]
-    for n in range(1, m + 1):
+    for n in range(1, len(kap) + 1):
         mom.append(sum(kap[s - 1] * _composition_sum(mom, s, n - s) for s in range(1, n + 1)))
     return mom[1:]
 

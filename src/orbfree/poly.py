@@ -341,14 +341,11 @@ class NCPoly(_Combination):
         return f"NCPoly({format_poly(self)})"
 
 
-def norm_bound(p: NCPoly, R: float | None = None) -> float:
+def norm_bound(p: NCPoly) -> float:
     """Upper bound for the universal C*-norm: sum of |coefficient| times
-    R to the number of self-adjoint letters (unitary letters count 1)."""
-    if R is None:
-        R = p.layout.R
-    if R <= 0:
-        raise ValueError("cutoff must be positive")
-    return sum(abs(c) * R ** xz_letter_count(w) for w, c in p.terms.items())
+    the layout's cutoff R to the number of self-adjoint letters (unitary
+    letters count 1)."""
+    return sum(abs(c) * p.layout.R ** xz_letter_count(w) for w, c in p.terms.items())
 
 
 # ---------------------------------------------------------------------------
@@ -513,10 +510,15 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _number(text: str) -> QC:
-    """A number token; a trailing ``i`` makes it imaginary."""
+def _number(text: str, pos: int) -> QC:
+    """A number token at pos; a trailing ``i`` makes it imaginary."""
     num, _, den = text.rstrip("i").partition("/")
-    f = Fraction(Fraction(num), Fraction(den or 1))
+    try:
+        f = Fraction(Fraction(num), Fraction(den or 1))
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", pos) from None
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"number of {len(text)} characters is too long", pos) from None
     return QC(Fraction(0), f) if text.endswith("i") else QC(f, Fraction(0))
 
 
@@ -561,10 +563,7 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[1] == "^":
             self.next()
-            kind, text, pos = self.next()
-            if kind != "num" or not text.isdigit():
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            e = int(text)
+            e = self._integer("exponent must be a nonnegative integer")
             acc = NCPoly.one(self.layout)
             for _ in range(e):
                 acc = acc * base
@@ -574,37 +573,40 @@ class _Parser:
     def parse_atom(self) -> NCPoly:
         kind, text, pos = self.next()
         if kind == "num":
-            return NCPoly.one(self.layout).scale(_number(text))
+            return NCPoly.one(self.layout).scale(_number(text, pos))
         if text == "(":
             inner = self.parse_poly()
             self.expect(")")
             return inner
         if kind == "gen":
             gen = text[0]
-            i = self._index()
+            i = self._integer("expected an integer index")
             if gen == "u":
                 self._in_range(pos, self.layout.check_family, i)
                 self.expect("]")
                 return NCPoly.u(self.layout, i)
             self.expect(",")
-            j = self._index()
+            j = self._integer("expected an integer index")
             self.expect("]")
             self._in_range(pos, self.layout.check_xz, i, j)
             if gen == "x":
                 return NCPoly.x(self.layout, i, j)
             return NCPoly.z(self.layout, i, j)
         if kind == "uprime":
-            i = self._index()
+            i = self._integer("expected an integer index")
             self.expect("]")
             self._in_range(pos, self.layout.check_family, i)
             return NCPoly.ustar(self.layout, i)
         raise ParseError(f"unexpected token {text!r}", pos)
 
-    def _index(self) -> int:
-        kind, text, tpos = self.next()
+    def _integer(self, message: str) -> int:
+        kind, text, pos = self.next()
         if kind != "num" or not text.isdigit():
-            raise ParseError("expected an integer index", tpos)
-        return int(text)
+            raise ParseError(message, pos)
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"integer of {len(text)} digits is too long", pos) from None
 
     @staticmethod
     def _in_range(pos: int, check, *indices: int) -> None:

@@ -6,7 +6,7 @@ pressure relation between the matrix and orbital ensembles."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Iterable, Iterator, Sequence
 
@@ -55,12 +55,10 @@ __all__ = [
 @dataclass
 class PressureEstimate:
     h: object
-    source: str
     per_N: list  # (N, logZ, stderr)
     normalized: list  # logZ / N^2
     extrapolated: float
     r_squared: float
-    fit_residuals: list = field(default_factory=list)
 
     def __post_init__(self):
         if isinstance(self.h, NCPoly):
@@ -74,7 +72,6 @@ class PressureEstimate:
 
 @dataclass
 class EtaEstimate:
-    target: MomentTable
     basis: list  # self-adjoint NCPoly basis elements
     value: float
     minimizer: np.ndarray
@@ -171,10 +168,10 @@ def pressure_estimate(
         cfg = gibbs.GibbsConfig("unitary-orbital", N, h, microstates=xi, **chain)
         return (_direct if method == "direct" else gibbs.log_partition)(cfg)
 
-    return _per_N_estimate(h, method, microstates_per_N, gibbs_settings, row)
+    return _per_N_estimate(h, microstates_per_N, gibbs_settings, row)
 
 
-def _per_N_estimate(h, source: str, microstates_per_N, gibbs_settings, row) -> PressureEstimate:
+def _per_N_estimate(h, microstates_per_N, gibbs_settings, row) -> PressureEstimate:
     """The per-N loop of pressure_estimate and double_pressure.  At each
     (N, xi), row(N, xi, draw, chain) gives (logZ, stderr): draw() is the
     sample set at N, the settings' "samples" Haar conjugations of xi from
@@ -188,8 +185,8 @@ def _per_N_estimate(h, source: str, microstates_per_N, gibbs_settings, row) -> P
         draw = partial(sample_conjugations, xi, M, np.random.default_rng(seed + N))
         rows.append((N, *row(N, xi, draw, {**settings, "seed": seed + N})))
     normalized = [logz / N**2 for N, logz, _ in rows]
-    extrapolated, r2, resid = _affine_fit([1.0 / N for N, _, _ in rows], normalized)
-    return PressureEstimate(h, source, rows, normalized, extrapolated, r2, resid)
+    extrapolated, r2 = _affine_fit([1.0 / N for N, _, _ in rows], normalized)
+    return PressureEstimate(h, rows, normalized, extrapolated, r2)
 
 
 def _direct(cfg: gibbs.GibbsConfig) -> tuple[float, float]:
@@ -210,15 +207,13 @@ def _affine_fit(xs, ys):
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if len(xs) == 1:
-        return float(ys[0]), 1.0, [0.0]
+        return float(ys[0]), 1.0
     A = np.vstack([np.ones_like(xs), xs]).T
     coef, *_ = np.linalg.lstsq(A, ys, rcond=None)
-    fit = A @ coef
-    resid = ys - fit
-    ss_res = float(np.sum(resid**2))
+    ss_res = float(np.sum((ys - A @ coef) ** 2))
     ss_tot = float(np.sum((ys - ys.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(coef[0]), r2, resid.tolist()
+    return float(coef[0]), r2
 
 
 # ---------------------------------------------------------------------------
@@ -359,11 +354,11 @@ def eta_estimate(
             h = witness.scale(alpha)
             obj = _target_pairing(target, h) - trace_evaluate(h, microstates).real
             trace.append((k, obj))
-        return EtaEstimate(target, basis, -math.inf, np.zeros(len(basis)), trace,
+        return EtaEstimate(basis, -math.inf, np.zeros(len(basis)), trace,
                            converged=False, diverged=True, witness=witness)
 
     if not basis:
-        return EtaEstimate(target, basis, 0.0, np.zeros(0), [(0, 0.0)], converged=True)
+        return EtaEstimate(basis, 0.0, np.zeros(0), [(0, 0.0)], converged=True)
 
     shared = list(sample_conjugations(microstates, samples, np.random.default_rng(seed)))
 
@@ -386,7 +381,7 @@ def eta_estimate(
     res = minimize(objective, x0, method="Nelder-Mead",
                    options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-6})
     value = min(0.0, float(best[0]))
-    return EtaEstimate(target, basis, value, best[1], evals,
+    return EtaEstimate(basis, value, best[1], evals,
                        converged=bool(res.success))
 
 
@@ -397,7 +392,7 @@ def eta_estimate(
 def double_pressure(
     h2: TensorNCPoly,
     microstates_per_N: Sequence[tuple[int, MatrixTuple]],
-    gibbs_settings: dict | None = None,
+    gibbs_settings: dict,
 ) -> PressureEstimate:
     """Pressure of the tensor (double-trace) energy, by the same shared
     log-mean-exp pipeline as pressure_estimate's sample method."""
@@ -406,7 +401,7 @@ def double_pressure(
         lme, se = _log_mean_exp_se(_exponents([double_trace_evaluate(h2, s) for s in draw()], N))
         return lme, N**2 * (se / N**2)
 
-    return _per_N_estimate(h2, "sample", microstates_per_N, gibbs_settings, row)
+    return _per_N_estimate(h2, microstates_per_N, gibbs_settings, row)
 
 
 def penalty_poly(target: MomentTable, m: int, beta: float, delta: float) -> TensorNCPoly:

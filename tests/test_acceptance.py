@@ -252,7 +252,7 @@ def test_criterion_07_sd_solver():
     mean = gibbs_mod.mean_tracial_state(chain, 4)
     worst_sigma = 0.0
     for w in pf.values:
-        if not w or not mean.has(w):
+        if not w or w not in mean.values:
             continue
         diff = abs(pf.get(w) - mean.get(w))
         # conjugation-invariant words have zero MC error; allow numerics

@@ -149,7 +149,7 @@ class TestVerify:
         ("pressure", {"families": ["semicircle:2", "semicircle:nan"]}, None,
          ["family 2", "'semicircle:nan'", "finite"]),
         ("pressure", FAMILY_FILE, '{"n": 2, "N": 1e999, "families": [[], []]}', ["'fam.json'"]),
-        ("pressure", {"h": "1/0*x[1,1]"}, None, ["'h'"]),
+        ("pressure", {"h": "1/0*x[1,1]"}, None, ["'h'", "position 0"]),
         # "--out" here is the flag, not a spec key: a directory below a regular file
         ("pressure", {"--out": "fam.json/out"}, "a regular file",
          ["output directory", "fam.json/out", "Not a directory"]),
@@ -166,6 +166,27 @@ class TestVerify:
         assert code == 2
         assert err.startswith("validation error:")
         assert all(name in err for name in names)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, spec", [
+        ("pressure", {}),
+        ("property-suite", {}),
+        ("relation-check", {}),
+        ("gibbs", {"gibbs": {**BASE_SPEC["gibbs"], "kind": "matrix"}}),
+        # R**2 for h is finite, but the stderr squares the degree-2 moments
+        ("gibbs", {"gibbs": {**BASE_SPEC["gibbs"], "kind": "matrix"}, "R": 1e100}),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_overflowing_R_exits_2(self, tmp_path, capsys, command, spec, flags):
+        # these commands raise R to the degree they evaluate; R**d beyond the
+        # float range crashed them, or reported NaN sides as no violation
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, "R": 1e200, "Ns": [3],
+                                 "h": "0.1*x[1,1]*x[2,1] + 0.1*x[2,1]*x[1,1]", **spec}))
+        code, _ = run(tmp_path, command, p, "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:") and "'R'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("flags", [(), ("--verify",)])

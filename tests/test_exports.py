@@ -113,3 +113,74 @@ def _unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     files = sorted(f for d in ("src/orbfree", "tests", "scripts") for f in (ROOT / d).rglob("*.py"))
     assert [entry for f in files for entry in _unused_imports(f)] == []
+
+
+# defaulted parameters that no call in the program sets, kept on purpose
+UNSET_OPTIONS_KEPT = {
+    "gibbs.log_partition.beta_grid":
+        "criterion 4 needs 17 beta points to meet the N = 2 quadrature oracle",
+    "pressure.eta_estimate.mismatch_tol":
+        "test_pressure.py's golden eta run is pinned at a tolerance of 0.3",
+}
+
+
+def _exported_functions():
+    """(qualified name, the name a call uses, the parameters a call binds)
+    for every function listed in a module's __all__ and every method
+    written in the body of a listed class; dataclass-generated methods are
+    not written there.  A call names a method by its attribute, and a
+    class's own __init__ by the class."""
+    for name in MODULES:
+        mod = importlib.import_module(f"orbfree.{name}")
+        for export in mod.__all__:
+            obj = getattr(mod, export)
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{name}.{export}", export, list(inspect.signature(obj).parameters.values())
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = getattr(member, "__func__", member)
+                    if not inspect.isfunction(fn) or fn.__code__.co_filename != mod.__file__:
+                        continue
+                    params = list(inspect.signature(fn).parameters.values())
+                    if not isinstance(member, staticmethod):
+                        params = params[1:]  # self or cls
+                    callee = export if attr == "__init__" else attr
+                    yield f"{name}.{export}.{attr}", callee, params
+
+
+def _program_calls() -> dict[str, list[ast.Call]]:
+    """Every call in the program and the benchmark, keyed by the name it
+    calls: the bare name, or the attribute after the last dot."""
+    calls: dict[str, list[ast.Call]] = {}
+    for f in sorted(f for d in ("src/orbfree", "perfbench") for f in (ROOT / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(f.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _bound(call: ast.Call, params) -> set[str]:
+    """The parameters a call sets: those its positional arguments fill and
+    those it names; a call with * or ** may set any of them."""
+    if any(isinstance(a, ast.Starred) for a in call.args) or any(
+            k.arg is None for k in call.keywords):
+        return {p.name for p in params}
+    positional = [p.name for p in params
+                  if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
+    return set(positional[:len(call.args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_exported_option_is_set_by_the_program():
+    # a defaulted parameter that only tests set doubles the configurations
+    # the tests cover for no caller of the program
+    calls = _program_calls()
+    unset = []
+    for qualname, callee, params in _exported_functions():
+        bound = set().union(*(_bound(c, params) for c in calls.get(callee, [])))
+        unset += [f"{qualname}.{p.name}" for p in params
+                  if p.default is not p.empty and p.name not in bound]
+    assert sorted(unset) == sorted(UNSET_OPTIONS_KEPT)

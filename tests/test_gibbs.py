@@ -65,6 +65,20 @@ class TestConfig:
         with pytest.raises(ValueError):
             GibbsConfig("unitary-orbital", 4, h)  # missing microstates
 
+    @pytest.mark.parametrize("setting, message", [
+        ({"thinning": 0}, "thinning"), ({"thinning": -1}, "thinning"),
+        ({"eps": math.nan}, "step size"), ({"eps": math.inf}, "step size"),
+        ({"beta": math.nan}, "beta"), ({"beta": -math.inf}, "beta"),
+    ])
+    @pytest.mark.parametrize("kind", ["unitary-orbital", "matrix"])
+    def test_rejects_bad_thinning_eps_and_beta(self, kind, setting, message):
+        # run divided by a thinning of 0 and kept every sweep at -1; a NaN
+        # eps failed inside eigh and a NaN beta rejected every proposal
+        h = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1]", LAYOUT)
+        ensemble = {"R": 2.0} if kind == "matrix" else {"microstates": semicircle_microstates(4)}
+        with pytest.raises(ValueError, match=message):
+            GibbsConfig(kind, 4, h, **ensemble, **setting)
+
     def test_rejects_microstate_unitaries(self):
         # each chain state carries its own V, so a unitary on the microstates
         # would be silently replaced
@@ -165,9 +179,9 @@ class TestCarriedEnergy:
         calls = {"n": 0}
         original = gibbs.energy
 
-        def counting(state, config, beta=None):
+        def counting(state, config):
             calls["n"] += 1
-            return original(state, config, beta)
+            return original(state, config)
 
         monkeypatch.setattr(gibbs, "energy", counting)
         chain = gibbs.run(config)
@@ -237,7 +251,6 @@ class TestPlan:
         assert energy(gibbs._Batch.of(gibbs._stack(states, cfg), cfg), cfg).tolist() == want
         for s, raw in zip(states, want):
             assert energy(s, cfg) == cfg.N**2 * cfg.beta * raw
-            assert energy(s, cfg, beta=1.0) == cfg.N**2 * 1.0 * raw
 
     def h(self, extra=""):
         h = parse(self.H + extra, self.LAYOUT21)
@@ -320,7 +333,7 @@ class TestMeanTracialState:
         t = mean_tracial_state(chain, 3)
         mu = SpectralMeasure.empirical(np.diag(cfg.microstates.sa[(1, 1)]).real)
         fp = free_product([table_from_measure(LAYOUT, i, 1, mu, 3) for i in (1, 2)], 3)
-        for w in fp.words(3):
+        for w in fp.values:
             if not w:
                 continue
             tol = 3 * t.stderr.get(w, 0.0) + 10.0 / N

@@ -401,18 +401,18 @@ class TestTraceMemo:
         seen = []
         original = gibbs.energy
 
-        def recording(state, config, beta=None):
+        def recording(state, config):
             if all(state is not s for s in seen):
                 assert state._traces == {}
                 seen.append(state)
-            return original(state, config, beta)
+            return original(state, config)
 
         monkeypatch.setattr(gibbs, "energy", recording)
         chain = gibbs.run(cfg)
-        assert chain.proposed > 0 and len(seen) > chain.sweep
+        assert chain.proposed > 0 and len(seen) > cfg.sweeps
         # every memo a chain state carries agrees with a fresh computation
         for state in seen:
-            fresh = MatrixTuple._unchecked(lay, 3, dict(state.sa), dict(state.unitaries), False)
+            fresh = MatrixTuple._unchecked(lay, 3, dict(state.sa), dict(state.unitaries))
             for w, v in state._traces.items():
                 assert trace_word(w, fresh) == v
 
@@ -513,15 +513,14 @@ class TestTracePass:
         monkeypatch.setattr(MatrixTuple, "lookup", counting)
         return counts
 
-    @pytest.mark.parametrize("alphabet", ["x", "uz"])
-    def test_empirical_state_looks_each_letter_up_once(self, lookups, alphabet):
+    def test_empirical_state_looks_each_letter_up_once(self, lookups):
         lay = FamilyLayout(n=2, r=(1, 1), R=2.0)
         tup = make_tuple(np.random.default_rng(16), 3, layout=lay)
-        table = empirical_state(tup, 4, alphabet)
+        table = empirical_state(tup, 4)
         assert len(table.values) > 10
         letters = {l for w in table.values for l in w}
         assert lookups == dict.fromkeys(letters, 1)
-        assert len(letters) == (2 if alphabet == "x" else 6)
+        assert len(letters) == 2
 
     def test_trace_evaluate_many_looks_each_letter_up_once_per_tuple(self, lookups):
         rng = np.random.default_rng(17)
@@ -540,7 +539,7 @@ class TestTracePass:
         p = parse("x[1,1]*x[2,1]*x[1,2] + u[2]*z[2,1]*u'[2]*x[1,1]", LAYOUT)
         trace_evaluate(p, tup)
         double_trace_evaluate(TensorNCPoly.of_pair(p, p.adjoint()), tup)
-        empirical_state(tup, 3, "uz")
+        empirical_state(tup, 3)
         assert set(vars(tup)) == attributes
         assert tup.sa == sa and tup.unitaries == unitaries  # same array objects
         for k, a in [*tup.sa.items(), *tup.unitaries.items()]:

@@ -28,6 +28,7 @@ from orbfree.poly import (
 )
 
 LAYOUT = FamilyLayout(n=2, r=(2, 1), R=2.0)
+LONG_DIGITS = "1" * 5000  # beyond the 4300 digits int() converts by default
 
 
 def random_poly(rng, layout=LAYOUT, alphabet="x", max_degree=4, max_terms=4):
@@ -106,7 +107,14 @@ class TestParse:
     def test_numbers_are_factors(self, text, want):
         assert parse(text, LAYOUT).terms == want
 
-    @pytest.mark.parametrize("text, pos", [("(1+2i", 5), ("2*", 2), ("x[1,1] 2", 7)])
+    @pytest.mark.parametrize("text, pos", [
+        ("(1+2i", 5), ("2*", 2), ("x[1,1] 2", 7),
+        ("1/0*x[1,1]", 0), ("0/0", 0), ("x[1,1] - 2/0i*x[2,1]", 9),
+        pytest.param(LONG_DIGITS + "*x[1,1]", 0, id="long-number"),
+        pytest.param("x[1,1] + 1." + LONG_DIGITS, 9, id="long-decimal"),
+        pytest.param("x[1," + LONG_DIGITS + "]", 4, id="long-index"),
+        pytest.param("x[1,1]^" + LONG_DIGITS, 7, id="long-exponent"),
+    ])
     def test_malformed_number_input(self, text, pos):
         with pytest.raises(ParseError) as err:
             parse(text, LAYOUT)
@@ -336,21 +344,25 @@ class TestLiberationGradient:
 
 
 class TestNormBound:
+    # the bound reads the cutoff from the layout; LAYOUT has R = 2
+    LAYOUT_R1 = FamilyLayout(n=2, r=(2, 1), R=1.0)
+    LAYOUT_R3 = FamilyLayout(n=2, r=(2, 1), R=3.0)
+
     def test_single_letter(self):
-        assert norm_bound(NCPoly.x(LAYOUT, 1, 1), 2.0) == 2.0
+        assert norm_bound(NCPoly.x(LAYOUT, 1, 1)) == 2.0
 
     def test_unit(self):
-        assert norm_bound(NCPoly.one(LAYOUT), 2.0) == 1.0
+        assert norm_bound(NCPoly.one(LAYOUT)) == 1.0
 
     def test_two_terms(self):
-        x11 = NCPoly.x(LAYOUT, 1, 1)
-        x21 = NCPoly.x(LAYOUT, 2, 1)
+        x11 = NCPoly.x(self.LAYOUT_R1, 1, 1)
+        x21 = NCPoly.x(self.LAYOUT_R1, 2, 1)
         p = x11 * x11 * 3 - x21
-        assert norm_bound(p, 1.0) == 4.0
+        assert norm_bound(p) == 4.0
 
     def test_unitary_letters_count_one(self):
-        p = NCPoly.monomial(LAYOUT, [letter_u(1), letter_z(1, 1), letter_ustar(1)])
-        assert norm_bound(p, 3.0) == 3.0
+        p = NCPoly.monomial(self.LAYOUT_R3, [letter_u(1), letter_z(1, 1), letter_ustar(1)])
+        assert norm_bound(p) == 3.0
 
 
 # ---------------------------------------------------------------------------
