@@ -159,7 +159,7 @@ class _Batch(MatrixTuple):
 def _unstack(stack: dict, k: int, config: GibbsConfig) -> MatrixTuple:
     """State k of a stacked batch."""
     if config.kind == "unitary-orbital":
-        return config.microstates.with_unitaries([a[k] for a in stack.values()])
+        return config.microstates.with_unitaries({i: a[k] for i, a in stack.items()})
     return MatrixTuple._unchecked(config.layout, config.N, {s: a[k] for s, a in stack.items()}, {})
 
 
@@ -221,7 +221,7 @@ def energy(state: MatrixTuple, config: GibbsConfig):
 def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple:
     lay = config.layout
     if config.kind == "unitary-orbital":
-        vs = [haar_unitary(config.N, rng) for _ in range(lay.n)]
+        vs = {i: haar_unitary(config.N, rng) for i in range(1, lay.n + 1)}
         return config.microstates.with_unitaries(vs)
     sa = {}
     for i in range(1, lay.n + 1):

@@ -89,9 +89,10 @@ class MatrixTuple:
             sa[(i, j)] = v @ a @ v.conj().T
         return MatrixTuple._unchecked(self.layout, self.N, sa, dict(self.unitaries))
 
-    def with_unitaries(self, unitaries: Sequence[np.ndarray]) -> "MatrixTuple":
-        return MatrixTuple._unchecked(self.layout, self.N, dict(self.sa),
-                                      {i + 1: v for i, v in enumerate(unitaries)})
+    def with_unitaries(self, unitaries: dict[int, np.ndarray]) -> "MatrixTuple":
+        """The same self-adjoint matrices carrying the unitaries {family: V},
+        unchecked; a family without one reads its x letters as z."""
+        return MatrixTuple._unchecked(self.layout, self.N, dict(self.sa), dict(unitaries))
 
     @classmethod
     def _unchecked(

@@ -522,11 +522,21 @@ def _number(text: str, pos: int) -> QC:
     return QC(Fraction(0), f) if text.endswith("i") else QC(f, Fraction(0))
 
 
+# the parser's limits: parentheses nest at most MAX_NESTING deep, and a
+# power p^e is refused, before anything is expanded, when e or its degree
+# e * degree(p) exceeds MAX_POWER_DEGREE, or when len(p.terms)^e, the most
+# terms its expansion can have, exceeds MAX_POWER_TERMS
+MAX_NESTING = 100
+MAX_POWER_DEGREE = 64
+MAX_POWER_TERMS = 1024
+
+
 class _Parser:
     def __init__(self, text: str, layout: FamilyLayout):
         self.tokens = _tokenize(text)
         self.layout = layout
         self.k = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.k]
@@ -563,7 +573,15 @@ class _Parser:
         base = self.parse_atom()
         if self.peek()[1] == "^":
             self.next()
+            pos = self.peek()[2]
             e = self._integer("exponent must be a nonnegative integer")
+            if max(e, e * base.degree) > MAX_POWER_DEGREE:
+                raise ParseError(f"power {e} of a degree-{base.degree} factor exceeds the "
+                                 f"limit {MAX_POWER_DEGREE} on exponent and degree", pos)
+            # e <= MAX_POWER_DEGREE here, so the bound is a small integer power
+            if len(base.terms) ** e > MAX_POWER_TERMS:
+                raise ParseError(f"power {e} of a {len(base.terms)}-term factor may expand to "
+                                 f"more than {MAX_POWER_TERMS} terms", pos)
             acc = NCPoly.one(self.layout)
             for _ in range(e):
                 acc = acc * base
@@ -575,8 +593,12 @@ class _Parser:
         if kind == "num":
             return NCPoly.one(self.layout).scale(_number(text, pos))
         if text == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING}", pos)
             inner = self.parse_poly()
             self.expect(")")
+            self.depth -= 1
             return inner
         if kind == "gen":
             gen = text[0]

@@ -35,6 +35,7 @@ from .poly import (
     FamilyLayout,
     NCPoly,
     TensorNCPoly,
+    _format_word,
     norm_bound,
 )
 
@@ -90,10 +91,32 @@ def sample_conjugations(
 ) -> Iterator[MatrixTuple]:
     """M independent Haar conjugations of the microstate tuple (the
     reference measure of the orbital ensemble), each drawn from rng when
-    it is read; a caller that reads the set twice lists it."""
-    n = microstates.layout.n
+    it is read; a caller that reads the set twice lists it.
+
+    Family 1 carries no unitary: V_1 = I, and families 2..n draw their
+    unitaries in order.  This is exact for every polynomial in x letters.
+    Its trace is unchanged when one unitary W conjugates every family at
+    once, and W = V_1* takes (V_1, V_2, ...) to (I, V_1* V_2, ...), whose
+    entries after the first are again independent Haar unitaries.  A z
+    letter reads the raw Xi and a u letter reads V itself, so neither is
+    invariant; the sample-based estimators reject both.
+    """
+    N, n = microstates.N, microstates.layout.n
     for _ in range(M):
-        yield microstates.with_unitaries([haar_unitary(microstates.N, rng) for _ in range(n)])
+        yield microstates.with_unitaries({i: haar_unitary(N, rng) for i in range(2, n + 1)})
+
+
+def _require_x_letters(*polys) -> None:
+    """Raise ValueError unless every word of every polynomial (NCPoly, or
+    TensorNCPoly by both legs) is in x letters, the words whose traces
+    sample_conjugations samples exactly."""
+    for p in polys:
+        for key in p.terms:
+            words = key if isinstance(p, TensorNCPoly) else (key,)
+            for letter in (l for w in words for l in w):
+                if letter[0] != "x":
+                    raise ValueError(f"sample-based estimates take x letters only, got the "
+                                     f"letter {_format_word((letter,))}")
 
 
 def _exponents(values: Sequence[complex], N: int) -> np.ndarray:
@@ -113,8 +136,8 @@ def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
 
 def _sample_pressure(h: NCPoly, samples: Iterable[MatrixTuple], N: int) -> tuple[float, float]:
     """(1/N^2) log of the sample average of exp(-N^2 tr h), with a
-    delta-method standard error.  x letters evaluate as u z u' because
-    the samples carry unitaries."""
+    delta-method standard error.  x letters evaluate as V Xi V* on the
+    families whose samples carry a unitary, and as Xi on family 1."""
     if h.is_zero:
         return 0.0, 0.0
     lme, se = _log_mean_exp_se(_exponents(_trace_evaluate_many(h, samples), N))
@@ -156,6 +179,7 @@ def pressure_estimate(
     """
     if method not in ("sample", "direct", "thermodynamic"):
         raise ValueError(f"unknown method {method!r}")
+    _require_x_letters(h)
 
     def row(N, xi, draw, chain):
         if h.is_zero:
@@ -231,6 +255,7 @@ def finite_N_property_suite(
     set, where each is exact: Lipschitz bound, monotonicity, midpoint
     convexity (Cauchy-Schwarz), and disjoint-family additivity as an
     equality on the product empirical measure."""
+    _require_x_letters(h1, h2)
     N = microstates.N
     samples = list(sample_conjugations(microstates, M, np.random.default_rng(seed)))
     # h1 <= h1 + q*q pointwise on every sample, and the midpoint of h1, h2
@@ -255,12 +280,13 @@ def finite_N_property_suite(
     report["convex"] = {"pi_mid": pi_mid, "rhs": conv_rhs, "margin": conv_rhs - pi_mid}
 
     # (additive) disjoint family groups factorize exactly on the product
-    # empirical measure: project h1 to family 1, h2 to family 2
+    # empirical measure: project h1 to family 1, h2 to families 2..n
     g1 = _project_families(h1, {1})
     g2 = _project_families(h2, set(range(2, microstates.layout.n + 1)))
     e1 = _exponents(_trace_evaluate_many(g1, samples), N)
     e2 = _exponents(_trace_evaluate_many(g2, samples), N)
-    # product measure over independent V-groups: all (s, t) pairs
+    # family 1 carries no unitary, so every e1 is the same number; the
+    # joint log-mean-exp over all (s, t) pairs then splits up to rounding
     joint = _log_mean_exp_se((e1[:, None] + e2[None, :]).ravel())[0] / N**2
     split = _log_mean_exp_se(e1)[0] / N**2 + _log_mean_exp_se(e2)[0] / N**2
     report["additive"] = {"joint": joint, "split": split, "margin": abs(joint - split)}
@@ -396,6 +422,7 @@ def double_pressure(
 ) -> PressureEstimate:
     """Pressure of the tensor (double-trace) energy, by the same shared
     log-mean-exp pipeline as pressure_estimate's sample method."""
+    _require_x_letters(h2)
 
     def row(N, xi, draw, chain):
         lme, se = _log_mean_exp_se(_exponents([double_trace_evaluate(h2, s) for s in draw()], N))
@@ -448,6 +475,7 @@ def pressure_relation_check(
     layout = h.layout
     if any(r != 1 for r in layout.r):
         raise ValueError("relation check requires single-variable families")
+    _require_x_letters(h)
 
     # h=0 matrix reference chain supplies the marginal spectra
     cfg0 = gibbs.GibbsConfig("matrix", N, NCPoly.zero(layout), R=R, seed=seed, **settings)

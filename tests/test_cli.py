@@ -79,6 +79,19 @@ class TestVerify:
         assert code == 2
         assert capsys.readouterr().err.rstrip().endswith("offending word x[1,1]*x[2,1]")
 
+    @pytest.mark.parametrize("h, pos", [
+        pytest.param("(" * 3000 + "x[1,1]" + ")" * 3000, 100, id="deep-parentheses"),
+        pytest.param("x[1,1]^4000", 7, id="power-degree"),
+        pytest.param("(x[1,1]+x[2,1])^12", 16, id="power-terms"),
+    ])
+    @pytest.mark.parametrize("flags", [(), ("--verify",)])
+    def test_parser_limits_exit_2(self, tmp_path, capsys, h, pos, flags):
+        spec = write_spec(tmp_path, h=h)
+        code, _ = run(tmp_path, "pressure", spec, "out", *flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"'h' rejected at position {pos}" in err
+
     def test_index_out_of_range_exits_2(self, tmp_path):
         spec = write_spec(tmp_path, h="x[3,1]^2")
         code, _ = run(tmp_path, "pressure", spec, "out", "--verify")

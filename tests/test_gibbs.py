@@ -83,7 +83,7 @@ class TestConfig:
         # each chain state carries its own V, so a unitary on the microstates
         # would be silently replaced
         h = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1]", LAYOUT)
-        micro = semicircle_microstates(4).with_unitaries([np.eye(4), np.eye(4)])
+        micro = semicircle_microstates(4).with_unitaries({1: np.eye(4), 2: np.eye(4)})
         with pytest.raises(ValueError, match="family 1, 2"):
             GibbsConfig("unitary-orbital", 4, h, microstates=micro)
 
@@ -265,7 +265,7 @@ class TestPlan:
         micro = MatrixTuple(self.LAYOUT21, N, sa=sa, check_norm=False)
         h = self.h(" + 0.5*u[1]*x[2,1]*u'[1] - u'[1]*x[1,2]*u[1] + u'[1]*z[1,1] + 0.2*u'[1]^2")
         cfg = GibbsConfig("unitary-orbital", N, h, microstates=micro, beta=0.7)
-        states = [micro.with_unitaries([haar_unitary(N, rng), haar_unitary(N, rng)])
+        states = [micro.with_unitaries({1: haar_unitary(N, rng), 2: haar_unitary(N, rng)})
                   for _ in range(5)]
         self.check(cfg, states)
 

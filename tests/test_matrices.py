@@ -386,7 +386,7 @@ class TestTraceMemo:
         assert tup._traces
         vs = [haar_unitary(4, rng) for _ in range(LAYOUT.n)]
         assert tup.conjugated(vs)._traces == {}
-        assert tup.with_unitaries(vs)._traces == {}
+        assert tup.with_unitaries(dict(enumerate(vs, start=1)))._traces == {}
 
     @pytest.mark.parametrize("kind", ["unitary-orbital", "matrix"])
     def test_gibbs_proposals_start_empty(self, kind, monkeypatch):
@@ -492,7 +492,7 @@ class TestTracePass:
         else:
             micro = property_tuple(seed, N, "dense", "none")  # each state brings its V
             cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), microstates=micro)
-            states = [micro.with_unitaries([haar_unitary(N, rng), haar_unitary(N, rng)])
+            states = [micro.with_unitaries({1: haar_unitary(N, rng), 2: haar_unitary(N, rng)})
                       for _ in range(B)]
         batch = _TracePass(gibbs._Batch.of(gibbs._stack(states, cfg), cfg)).trace_sum
         lone = [_TracePass(s).trace_sum for s in states]

@@ -120,6 +120,27 @@ class TestParse:
             parse(text, LAYOUT)
         assert err.value.position == pos
 
+    @pytest.mark.parametrize("text, pos", [
+        pytest.param("(" * 101 + "x[1,1]" + ")" * 101, 100, id="parentheses-101"),
+        pytest.param("(" * 3000 + "x[1,1]" + ")" * 3000, 100, id="parentheses-3000"),
+        ("x[1,1]^65", 7),
+        ("x[1,1]^4000", 7),
+        ("(x[1,1]^2)^33", 11),
+        ("2^65", 2),
+        ("(x[1,1]+x[2,1])^11", 16),
+        ("(x[1,1]+x[2,1]+x[1,2])^7", 23),
+    ])
+    def test_limits_refused(self, text, pos):
+        with pytest.raises(ParseError) as err:
+            parse(text, LAYOUT)
+        assert err.value.position == pos
+
+    def test_limits_admitted(self):
+        assert parse("(" * 100 + "x[1,1]" + ")" * 100, LAYOUT) == parse("x[1,1]", LAYOUT)
+        assert parse("x[1,1]^64", LAYOUT).degree == 64
+        assert len(parse("(x[1,1]+x[2,1])^10", LAYOUT).terms) == 1024
+        assert parse("2^64", LAYOUT) == NCPoly.one(LAYOUT).scale(2**64)
+
     def test_roundtrip(self):
         rng = random.Random(7)
         for _ in range(50):

@@ -13,6 +13,7 @@ from orbfree.matrices import (
     haar_unitary,
     quantile_microstate,
     spectral_clip,
+    trace_evaluate,
 )
 from orbfree.moments import MomentTable, free_product, table_from_measure
 from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, format_poly, letter_x, parse
@@ -159,18 +160,63 @@ class TestBasis:
 
 class TestSampleConjugations:
     def test_draws_when_read(self):
-        xi = semicircle_tuple(4)
+        lay = FamilyLayout(n=3, r=(1, 1, 1), R=2.0)
+        xi = semicircle_tuple(4, lay)
         rng = np.random.default_rng(5)
-        state = rng.bit_generator.state
-        orbit = sample_conjugations(xi, 3, rng)
-        assert rng.bit_generator.state == state
         ref = np.random.default_rng(5)
-        want = [[haar_unitary(4, ref) for _ in range(2)] for _ in range(3)]
-        got = list(orbit)
-        assert len(got) == 3
-        for s, vs in zip(got, want):
-            assert [s.unitaries[i].tobytes() for i in (1, 2)] == [v.tobytes() for v in vs]
+        orbit = sample_conjugations(xi, 3, rng)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        for _ in range(3):
+            s = next(orbit)
+            # families 2..n draw in order as the sample is read, and no sooner
+            want = [haar_unitary(4, ref) for _ in (2, 3)]
+            assert rng.bit_generator.state == ref.bit_generator.state
+            assert sorted(s.unitaries) == [2, 3]
+            assert [s.unitaries[i].tobytes() for i in (2, 3)] == [v.tobytes() for v in want]
             assert all(s.sa[k] is a for k, a in xi.sa.items())
+            assert s.lookup(X1) is xi.sa[(1, 1)]
+        assert next(orbit, None) is None
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("N", [2, 8, 64])
+    def test_fixing_family_one_is_exact(self, N, seed):
+        # tr of an x-only polynomial is the same on (V1, V2) and (I, V1* V2)
+        rng = np.random.default_rng(seed)
+        xi = MatrixTuple(LAYOUT, N, sa={(i, 1): spectral_clip(gue(N, rng), 2.0) for i in (1, 2)})
+        v1, v2 = haar_unitary(N, rng), haar_unitary(N, rng)
+        both = xi.with_unitaries({1: v1, 2: v2})
+        fixed = xi.with_unitaries({2: v1.conj().T @ v2})
+        h = parse("0.3*x[1,1]*x[2,1]*x[1,1]*x[2,1] - 0.2*x[1,1]^2*x[2,1]^2 "
+                  "+ (0.1+0.4i)*x[1,1]*x[2,1]^3 + 0.5*x[2,1]*x[1,1] - x[1,1]^2", LAYOUT)
+        assert abs(trace_evaluate(h, both) - trace_evaluate(h, fixed)) <= 1e-12
+        mu = SpectralMeasure.semicircle(2.0)
+        target = free_product([table_from_measure(LAYOUT, i, 1, mu, 3) for i in (1, 2)], 3)
+        pen = penalty_poly(target, 3, 0.5, 0.4)
+        assert abs(double_trace_evaluate(pen, both) - double_trace_evaluate(pen, fixed)) <= 1e-12
+
+    Z_H = "0.2*z[1,1]*x[2,1] + 0.2*x[2,1]*z[1,1]"
+    U_H = "0.2*u[1]*x[2,1]*u'[1]"
+
+    @pytest.mark.parametrize("text", [Z_H, U_H], ids=["z", "u"])
+    @pytest.mark.parametrize("entry", ["pressure", "property-suite", "double-pressure",
+                                       "relation-check"])
+    def test_sample_entry_points_reject_non_x_letters(self, entry, text, monkeypatch):
+        # each rejects before it draws a sample or runs a chain
+        def no_draw(*_):
+            raise AssertionError("drew before rejecting")
+
+        monkeypatch.setattr("orbfree.pressure.haar_unitary", no_draw)
+        monkeypatch.setattr("orbfree.gibbs.run", no_draw)
+        h = parse(text, LAYOUT)
+        call = {
+            "pressure": lambda: pressure_estimate(h, [(4, semicircle_tuple(4))]),
+            "property-suite": lambda: finite_N_property_suite(mixed_h(), h, semicircle_tuple(4)),
+            "double-pressure": lambda: double_pressure(
+                TensorNCPoly.of_pair(h, NCPoly.one(LAYOUT)), [(4, semicircle_tuple(4))], {}),
+            "relation-check": lambda: pressure_relation_check(h, R=2.0, N=4),
+        }[entry]
+        with pytest.raises(ValueError, match="x letters only"):
+            call()
 
 
 class TestEta:
@@ -328,10 +374,10 @@ class TestGolden:
         h = parse(self.H, LAYOUT)
         per_N = [(4, semicircle_tuple(4)), (6, semicircle_tuple(6))]
         est = pressure_estimate(h, per_N, {"seed": 3, "samples": 25})
-        self.exact(est.per_N, [(4, -0.6204919190926024, 0.45890542867086737),
-                               (6, -1.816630210284293, 0.4414302954366428)])
-        self.exact(est.normalized, [-0.03878074494328765, -0.05046195028567481])
-        self.exact(est.extrapolated, -0.07382436097044913)
+        self.exact(est.per_N, [(4, 0.08596950787857516, 0.34958231660999955),
+                               (6, -0.933878328543734, 0.5972383626908577)])
+        self.exact(est.normalized, [0.005373094242410947, -0.02594106468177039])
+        self.exact(est.extrapolated, -0.08856938253013305)
 
     def test_direct(self):
         # recorded through gibbs.log_partition(method="direct") before the
@@ -344,49 +390,49 @@ class TestGolden:
     def test_property_suite(self):
         rep = finite_N_property_suite(parse(self.H, LAYOUT), parse(self.H2, LAYOUT),
                                       semicircle_tuple(4), M=12, seed=5)
-        self.exact(rep, {'lipschitz': {'lhs': 0.035152491193066404,
+        self.exact(rep, {'lipschitz': {'lhs': 0.10507860119699614,
                                        'bound': 2.8,
-                                       'margin': 2.7648475088069335},
-                         'monotone': {'pi_smaller': -0.054675254005897955,
-                                      'pi_larger': -0.12752018609173904,
-                                      'margin': 0.07284493208584109},
-                         'convex': {'pi_mid': -0.08585323386431784,
-                                    'rhs': -0.07225149960243116,
-                                    'margin': 0.013601734261886683},
+                                       'margin': 2.694921398803004},
+                         'monotone': {'pi_smaller': 0.01931397299102733,
+                                      'pi_larger': -0.04862531137924017,
+                                      'margin': 0.0679392843702675},
+                         'convex': {'pi_mid': -0.044699202028016694,
+                                    'rhs': -0.03322532760747074,
+                                    'margin': 0.011473874420545954},
                          'additive': {'joint': -0.17676522153339222,
-                                      'split': -0.1767652215333922,
+                                      'split': -0.17676522153339225,
                                       'margin': 2.7755575615628914e-17},
                          'max_violation': 2.7755575615628914e-17})
 
     def test_eta_estimate(self):
         est = eta_estimate(self.target(), semicircle_tuple(8), basis_degree=2, samples=16,
                            budget=30, seed=2, mismatch_tol=0.3)
-        self.exact(est.value, -0.0004820183224377994)
-        self.exact(est.minimizer.tolist(), [0.00314645339517092,
-                                            0.0015330620563062782,
-                                            -0.004833234463922586,
-                                            0.0044764626504925215,
-                                            -0.00555625560591565])
-        self.exact(est.trace, [(0, 0.0), (1, 5.204170427930421e-20),
-                               (2, 7.806255641895632e-20), (3, 9.493724212982565e-06),
-                               (4, -5.0801814544218876e-06), (5, 9.493724212982619e-06),
-                               (6, -7.731075877454138e-06), (7, -1.6342091486812186e-05),
-                               (8, -1.8064183860457873e-05), (9, -3.183959394071755e-05),
-                               (10, -2.130317856930574e-05), (11, -2.9817676387454634e-05),
-                               (12, -4.173147189353438e-05), (13, -6.2562366006554e-05),
-                               (14, -5.967845333977183e-05), (15, -6.57259670305678e-05),
-                               (16, -9.037992144994046e-05), (17, -8.840109107937722e-05),
-                               (18, -0.0001033214785891223), (19, -0.00014002816734209412),
-                               (20, -0.00014447058647231977), (21, -0.00020058735064855653),
-                               (22, -0.00017300309267056883), (23, -0.0002143402652661653),
-                               (24, -0.0002900130095943726), (25, -0.00026904144936429775),
-                               (26, -0.00033831461365911066), (27, -0.00046156556954013786),
-                               (28, -0.00041712854896397596), (29, -0.0004820183224377994)])
+        self.exact(est.value, -0.0004306959468471541)
+        self.exact(est.minimizer.tolist(), [0.004906296610676734,
+                                            0.003519102041972736,
+                                            -0.0027333532075376633,
+                                            -0.007613894590545919,
+                                            -0.0004385802166026238])
+        self.exact(est.trace, [(0, 0.0), (1, 6.938893903907229e-21),
+                               (2, 7.806255641895632e-20), (3, 9.493724212982402e-06),
+                               (4, 1.0483359611145469e-05), (5, 9.493724212982619e-06),
+                               (6, -2.869750902536049e-06), (7, -9.51833869734537e-06),
+                               (8, -9.512522596373924e-06), (9, -1.7111680253596067e-05),
+                               (10, -3.0405608949344838e-05), (11, -1.9772478379670078e-05),
+                               (12, -2.7664688846008532e-05), (13, -3.8697650104115024e-05),
+                               (14, -5.7959975079016816e-05), (15, -4.858553164707144e-05),
+                               (16, -6.425237936971456e-05), (17, -9.158227422717861e-05),
+                               (18, -8.266806517424191e-05), (19, -9.677936969199356e-05),
+                               (20, -0.00013121667507399787), (21, -0.0001340916689425716),
+                               (22, -0.00018541264800504365), (23, -0.0001709536474412271),
+                               (24, -0.00020669849043627444), (25, -0.00028062102446461696),
+                               (26, -0.00026099856343538615), (27, -0.000318984289677581),
+                               (28, -0.0004306959468471541), (29, -0.00039936692771810325)])
 
     def test_double_pressure(self):
         pen = penalty_poly(self.target(), 2, 0.05, 1.0)
         per_N = [(4, semicircle_tuple(4)), (6, semicircle_tuple(6))]
         est = double_pressure(pen, per_N, {"seed": 1, "samples": 15})
-        self.exact(est.per_N, [(4, -0.128314124390143, 0.03930873786075211),
-                               (6, -0.08055658550333586, 0.022739060981721293)])
-        self.exact(est.normalized, [-0.008019632774383938, -0.002237682930648218])
+        self.exact(est.per_N, [(4, -0.123975108423016, 0.02688367511217456),
+                               (6, -0.09482643336339555, 0.02266241746766111)])
+        self.exact(est.normalized, [-0.0077484442764385, -0.002634067593427654])
