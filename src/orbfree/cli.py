@@ -471,7 +471,8 @@ def cmd_freeness(r: Resolved, seed: int):
     fp = _free_product_of(r.layout, [SpectralMeasure.empirical(np.linalg.eigvalsh(xi.sa[(i, 1)]))
                                      for i in range(1, r.layout.n + 1)], r.m)
     orbit = pressure_mod.sample_conjugations(xi, r.conjugations, np.random.default_rng(seed))
-    dists = [moment_distance(empirical_state(s, r.m), fp, r.m) for s in orbit]
+    dists = [moment_distance(empirical_state(stack.state(k), r.m), fp, r.m)
+             for stack in orbit for k in range(stack.size)]
     report = {
         "command": "freeness",
         "N": N,

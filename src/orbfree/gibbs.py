@@ -7,8 +7,9 @@ Every chain runs through one sweep kernel over stacked (B, N, N) arrays: a
 lone ``run`` is a batch of one, and ``log_partition`` advances its whole
 beta ladder in lockstep.  An orbital state is the microstate tuple carrying
 the chain's unitaries, ``microstates.with_unitaries(V)``, and h is evaluated
-on it; the energy comes from a plan compiled once from h, which reads every
-trace from ``matrices._TracePass``, on a lone state or on a stacked batch.
+on it.  The energy comes from ``matrices._Scorer``, compiled once from h:
+the one scorer of a polynomial, on a lone state and on a stacked batch
+alike, which pressure's shared sample sets go through too.
 
 Also provides mean tracial states and the thermodynamic-integration
 log-partition estimator.  Every log-mean-exp estimate lives in
@@ -24,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, _TracePass, gue, haar_unitary, spectral_reflect
+from .matrices import MatrixTuple, _Scorer, _Stack, gue, haar_unitary, spectral_reflect
 from .moments import MomentTable, empirical_state
 from .poly import NCPoly
 
@@ -86,8 +87,8 @@ class GibbsConfig:
         return self.h.layout
 
     @cached_property
-    def _plan(self) -> "_Plan":
-        return _Plan(self)
+    def _scorer(self) -> _Scorer:
+        return _Scorer(self.h)
 
 
 @dataclass
@@ -118,7 +119,7 @@ def _energy(config: GibbsConfig, beta: float, raw: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# the energy plan and the sweep kernel
+# the energy and the sweep kernel
 
 
 def _slots(config: GibbsConfig) -> list:
@@ -139,68 +140,28 @@ def _stack(states: Sequence[MatrixTuple], config: GibbsConfig) -> dict:
             for slot in _slots(config)}
 
 
-class _Batch(MatrixTuple):
-    """B states of one ensemble as one tuple whose update slots hold the
+class _Batch(_Stack):
+    """B states of one ensemble as one stack whose update slots hold the
     stacked (B, N, N) arrays: the form in which the sweep kernel hands a
     batch to ``energy``.  An orbital batch is the microstate tuple carrying
     the stacked unitaries, as a lone state carries its own."""
 
     @classmethod
     def of(cls, stack: dict, config: GibbsConfig) -> "_Batch":
+        size = len(next(iter(stack.values())))
         if config.kind == "unitary-orbital":
-            return cls._unchecked(config.layout, config.N, config.microstates.sa, stack)
-        return cls._unchecked(config.layout, config.N, stack, {})
-
-    @property
-    def size(self) -> int:
-        return len(next(iter((self.unitaries or self.sa).values())))
+            return cls.of_slots(config.layout, config.N, config.microstates.sa, stack, size)
+        return cls.of_slots(config.layout, config.N, stack, {}, size)
 
 
-def _unstack(stack: dict, k: int, config: GibbsConfig) -> MatrixTuple:
-    """State k of a stacked batch."""
-    if config.kind == "unitary-orbital":
-        return config.microstates.with_unitaries({i: a[k] for i, a in stack.items()})
-    return MatrixTuple._unchecked(config.layout, config.N, {s: a[k] for s, a in stack.items()}, {})
-
-
-class _Plan:
-    """tr_N h compiled once for one ensemble: each coefficient converted to
-    complex once and kept as its two parts.
-
-    ``raw`` reads each word's trace from one ``_TracePass`` over the tuple
-    it is given, and repeats the final arithmetic of ``trace_evaluate``
-    (sum / N, terms added in order from 0j) with Python's complex product
-    and quotient written out on the parts, so each state of a batch scores
-    bit for bit as it would alone.
-    """
-
-    def __init__(self, config: GibbsConfig):
-        self.N = config.N
-        self.terms = []
-        for w, c in config.h.terms.items():
-            c = complex(c)
-            self.terms.append((w, c.real, c.imag))
-
-    def raw(self, tup: MatrixTuple, B: int = 1) -> np.ndarray:
-        """Re tr_N h on each of the B states the tuple holds, checking that
-        the imaginary part is negligible."""
-        N = self.N
-        trace_sum = _TracePass(tup).trace_sum
-        re = np.zeros(B)
-        im = np.zeros(B)
-        for w, cr, ci in self.terms:
-            if not w:
-                vr, vi = 1.0, 0.0
-            else:
-                s = trace_sum(w)
-                vr = (s.real + s.imag * 0.0) / N
-                vi = (s.imag - s.real * 0.0) / N
-            re = re + (cr * vr - ci * vi)
-            im = im + (cr * vi + ci * vr)
-        bad = np.abs(im) > _IMAG_TOL * np.fmax(1.0, np.abs(re))
-        if bad.any():
-            raise ValueError(f"energy has non-negligible imaginary part {im[bad.argmax()]}")
-        return re
+def _raw(config: GibbsConfig, tup: MatrixTuple) -> np.ndarray:
+    """Re tr_N h on each state the tuple holds, checking that the
+    imaginary part is negligible."""
+    re, im = config._scorer(tup)
+    bad = np.abs(im) > _IMAG_TOL * np.fmax(1.0, np.abs(re))
+    if bad.any():
+        raise ValueError(f"energy has non-negligible imaginary part {im[bad.argmax()]}")
+    return re
 
 
 def energy(state: MatrixTuple, config: GibbsConfig):
@@ -211,10 +172,10 @@ def energy(state: MatrixTuple, config: GibbsConfig):
     own energy N^2 beta raw.
     """
     if isinstance(state, _Batch):
-        return config._plan.raw(state, state.size)
+        return _raw(config, state)
     if config.h.is_zero:
         return 0.0
-    raw = float(config._plan.raw(state)[0])
+    raw = float(_raw(config, state)[0])
     return _energy(config, config.beta, raw)
 
 
@@ -304,15 +265,16 @@ def _run_chains(chains: Sequence[GibbsChain], config: GibbsConfig, record: bool)
             if keep:
                 chain.sample_raws.append(chain.raw)
                 if record:
-                    chain.samples.append(_unstack(stack, k, config))
+                    chain.samples.append(_Batch.of(stack, config).state(k))
     for k, chain in enumerate(chains):
-        chain.state = _unstack(stack, k, config)
+        chain.state = _Batch.of(stack, config).state(k)
 
 
 def step(chain: GibbsChain) -> GibbsChain:
     """One Metropolis sweep over all update slots; mutates the chain."""
     config = chain.config
-    chain.state = _unstack(_sweep([chain], _stack([chain.state], config), config), 0, config)
+    stack = _sweep([chain], _stack([chain.state], config), config)
+    chain.state = _Batch.of(stack, config).state(0)
     return chain
 
 

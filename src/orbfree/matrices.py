@@ -156,6 +156,28 @@ class MatrixTuple:
         return MatrixTuple(layout, N, sa=sa)
 
 
+class _Stack(MatrixTuple):
+    """``size`` states as one tuple: each slot holds either one (N, N)
+    matrix that every state shares or a stacked (size, N, N) array whose
+    k-th matrix is state k's.  Letters, word products and traces then run
+    on all the states at once (``_TracePass``), and ``_Scorer`` scores
+    them."""
+
+    @classmethod
+    def of_slots(cls, layout: FamilyLayout, N: int, sa: dict, unitaries: dict,
+                 size: int) -> "_Stack":
+        out = cls._unchecked(layout, N, sa, unitaries)
+        out.size = size
+        return out
+
+    def state(self, k: int) -> MatrixTuple:
+        """State k alone, a tuple of (N, N) matrices."""
+        def pick(slots):
+            return {key: a[k] if a.ndim == 3 else a for key, a in slots.items()}
+
+        return MatrixTuple._unchecked(self.layout, self.N, pick(self.sa), pick(self.unitaries))
+
+
 # ---------------------------------------------------------------------------
 # spectral measures
 
@@ -300,16 +322,19 @@ class SpectralMeasure:
 # sampling
 
 
-def haar_unitary(N: int, rng: np.random.Generator) -> np.ndarray:
+def haar_unitary(N: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix with
-    the R-factor's diagonal phases divided out."""
+    the R-factor's diagonal phases divided out.  With a batch shape, a
+    stacked batch + (N, N) array from one normal draw and one stacked QR,
+    equal bit for bit to lone draws made in row-major order, and leaving
+    the generator where they would."""
     if N < 1:
         raise ValueError("dimension must be >= 1")
-    g = rng.standard_normal((2, N, N))
-    z = (g[0] + 1j * g[1]) / math.sqrt(2.0)
+    g = rng.standard_normal((*batch, 2, N, N))
+    z = (g[..., 0, :, :] + 1j * g[..., 1, :, :]) / math.sqrt(2.0)
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def gue(N: int, rng: np.random.Generator | Sequence[np.random.Generator]) -> np.ndarray:
@@ -386,9 +411,9 @@ class _TracePass:
     to the tuple's memo; the matrices stay on the pass and are dropped
     with it, never on the tuple.
 
-    The same pass serves a tuple whose slots hold stacked (B, N, N)
-    arrays, B states at once: ``trace_sum`` then gives one trace per
-    state, each bitwise the one that state gives alone.
+    The same pass serves a ``_Stack``, B states at once: ``trace_sum``
+    then gives one trace per state, each bitwise the one that state gives
+    alone, or one number for a word that reads no stacked slot.
     """
 
     __slots__ = ("_tup", "_letters", "_prefixes")
@@ -414,8 +439,7 @@ class _TracePass:
 
     def trace_sum(self, w: Word):
         """Tr of a nonempty word, unnormalized: a number on a tuple of
-        matrices, one per state on a tuple whose slots hold stacked
-        (B, N, N) arrays.  Not memoized."""
+        matrices, one per state on a stack.  Not memoized."""
         if len(w) == 1:
             return np.trace(self._letter(w[0]), axis1=-2, axis2=-1)
         return (self._prefix(w[:-1]).swapaxes(-1, -2) * self._letter(w[-1])).sum(axis=(-2, -1))
@@ -445,19 +469,64 @@ def evaluate(p: NCPoly, tup: MatrixTuple) -> np.ndarray:
 
 
 def trace_evaluate(p: NCPoly, tup: MatrixTuple) -> complex:
-    return _trace_evaluate_many(p, (tup,))[0]
+    """tr_N p on one tuple, each word's trace read from or added to the
+    tuple's memo; the sum runs over the terms in order from 0j."""
+    trace = _TracePass(tup).trace
+    return sum((complex(c) * trace(w) for w, c in p.terms.items()), 0.0 + 0.0j)
 
 
-def _trace_evaluate_many(p: NCPoly, tuples: Iterable[MatrixTuple]) -> list[complex]:
-    """tr_N p on each tuple, in one trace pass per tuple; each exact
-    coefficient is converted to complex once, and each tuple's sum runs
-    over the terms in order from 0j."""
-    terms = [(w, complex(c)) for w, c in p.terms.items()]
-    out = []
-    for tup in tuples:
-        trace = _TracePass(tup).trace
-        out.append(sum((c * trace(w) for w, c in terms), 0.0 + 0.0j))
+def _word_traces(tup: MatrixTuple, words: Iterable[Word]) -> dict[Word, tuple]:
+    """(Re, Im) of tr_N of each nonempty word, in one trace pass over the
+    tuple: numbers on a lone tuple; on a stack, one value per state, or
+    one number for a word that reads no stacked slot.  Python's complex
+    quotient by N is written out on the parts, so each value is bitwise
+    the trace ``trace_word`` gives that state alone."""
+    trace_sum = _TracePass(tup).trace_sum
+    N = tup.N
+    out = {}
+    for w in words:
+        if w and w not in out:
+            s = trace_sum(w)
+            out[w] = ((s.real + s.imag * 0.0) / N, (s.imag - s.real * 0.0) / N)
     return out
+
+
+class _Scorer:
+    """tr_N p compiled once for scoring many states: each coefficient
+    converted to complex once and kept as its two parts.
+
+    Scoring repeats the final arithmetic of ``trace_evaluate`` (terms
+    added in order from 0j) with Python's complex product written out on
+    the parts, so each state of a stack gets bitwise the real and
+    imaginary parts ``trace_evaluate`` gives it alone.  ``combine`` takes
+    the word traces precomputed: from ``_word_traces`` on one tuple, or
+    gathered into vectors over a whole sample set.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, p: NCPoly):
+        self.terms = []
+        for w, c in p.terms.items():
+            c = complex(c)
+            self.terms.append((w, c.real, c.imag))
+
+    def __call__(self, tup: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
+        """(Re, Im) of tr_N p on each state the tuple holds: one state on
+        a lone tuple, ``size`` on a stack."""
+        size = tup.size if isinstance(tup, _Stack) else 1
+        return self.combine(_word_traces(tup, (w for w, _, _ in self.terms)), size)
+
+    def combine(self, traces: dict, size: int) -> tuple[np.ndarray, np.ndarray]:
+        """(Re, Im) of tr_N p on size states, from the (Re, Im) traces of
+        its nonempty words on them."""
+        re = np.zeros(size)
+        im = np.zeros(size)
+        for w, cr, ci in self.terms:
+            vr, vi = traces[w] if w else (1.0, 0.0)
+            re = re + (cr * vr - ci * vi)
+            im = im + (cr * vi + ci * vr)
+        return re, im
 
 
 def double_trace_evaluate(t: TensorNCPoly, tup: MatrixTuple) -> complex:

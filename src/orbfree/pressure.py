@@ -17,8 +17,9 @@ from . import gibbs
 from .matrices import (
     MatrixTuple,
     SpectralMeasure,
-    _trace_evaluate_many,
-    double_trace_evaluate,
+    _Scorer,
+    _Stack,
+    _word_traces,
     haar_unitary,
     quantile_microstate,
     trace_evaluate,
@@ -86,12 +87,20 @@ class EtaEstimate:
 # shared-sample machinery
 
 
+# the byte budget of one stack's unitaries, which sets its number of samples
+_STACK_BYTES = 1 << 17
+
+
 def sample_conjugations(
     microstates: MatrixTuple, M: int, rng: np.random.Generator
-) -> Iterator[MatrixTuple]:
+) -> Iterator[_Stack]:
     """M independent Haar conjugations of the microstate tuple (the
-    reference measure of the orbital ensemble), each drawn from rng when
-    it is read; a caller that reads the set twice lists it.
+    reference measure of the orbital ensemble), as a sequence of stacks
+    (``matrices._Stack``) of B samples each, the last holding the rest.
+    Each stack's unitaries are drawn from rng in one call when it is read,
+    bitwise the draws of its samples one at a time; a caller that reads
+    the set twice lists it.  B is the most samples whose unitaries fit in
+    _STACK_BYTES, and at least one.
 
     Family 1 carries no unitary: V_1 = I, and families 2..n draw their
     unitaries in order.  This is exact for every polynomial in x letters.
@@ -102,8 +111,12 @@ def sample_conjugations(
     invariant; the sample-based estimators reject both.
     """
     N, n = microstates.N, microstates.layout.n
-    for _ in range(M):
-        yield microstates.with_unitaries({i: haar_unitary(N, rng) for i in range(2, n + 1)})
+    B = max(1, _STACK_BYTES // (16 * N * N * max(1, n - 1)))
+    for start in range(0, M, B):
+        size = min(B, M - start)
+        v = haar_unitary(N, rng, batch=(size, n - 1))
+        yield _Stack.of_slots(microstates.layout, N, microstates.sa,
+                              {i: v[:, i - 2] for i in range(2, n + 1)}, size)
 
 
 def _require_x_letters(*polys) -> None:
@@ -119,9 +132,24 @@ def _require_x_letters(*polys) -> None:
                                      f"letter {_format_word((letter,))}")
 
 
-def _exponents(values: Sequence[complex], N: int) -> np.ndarray:
-    """-N^2 Re of each sample's energy, the terms of the log-mean-exp."""
-    return np.array([-(N**2) * v.real for v in values])
+def _trace_table(words: Iterable, samples: Iterable[_Stack]) -> tuple[dict, int]:
+    """The traces of a shared sample set: (Re, Im) of tr_N of each
+    nonempty word as two vectors over the samples in order, and the
+    number of samples M.  Each stack is read once, in one trace pass."""
+    parts = {w: ([], []) for w in words if w}
+    M = 0
+    for stack in samples:
+        for w, (vr, vi) in _word_traces(stack, parts).items():
+            parts[w][0].append(np.broadcast_to(vr, stack.size))
+            parts[w][1].append(np.broadcast_to(vi, stack.size))
+        M += stack.size
+    return {w: (np.concatenate(re), np.concatenate(im)) for w, (re, im) in parts.items()}, M
+
+
+def _exponents(raws, N: int) -> np.ndarray:
+    """-N^2 times each sample's raw energy Re tr_N h, the terms of the
+    log-mean-exp."""
+    return -(N**2) * np.asarray(raws)
 
 
 def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
@@ -134,13 +162,14 @@ def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
     return lme, se
 
 
-def _sample_pressure(h: NCPoly, samples: Iterable[MatrixTuple], N: int) -> tuple[float, float]:
+def _sample_pressure(h: NCPoly, traces: tuple[dict, int], N: int) -> tuple[float, float]:
     """(1/N^2) log of the sample average of exp(-N^2 tr h), with a
-    delta-method standard error.  x letters evaluate as V Xi V* on the
-    families whose samples carry a unitary, and as Xi on family 1."""
+    delta-method standard error, from the _trace_table of a sample set.
+    x letters evaluate as V Xi V* on the families whose samples carry a
+    unitary, and as Xi on family 1."""
     if h.is_zero:
         return 0.0, 0.0
-    lme, se = _log_mean_exp_se(_exponents(_trace_evaluate_many(h, samples), N))
+    lme, se = _log_mean_exp_se(_exponents(_Scorer(h).combine(*traces)[0], N))
     return lme / N**2, se / N**2
 
 
@@ -187,7 +216,7 @@ def pressure_estimate(
         if _family_split(h):
             return N**2 * -trace_evaluate(h, xi).real, 0.0
         if method == "sample":
-            v, se = _sample_pressure(h, draw(), N)
+            v, se = _sample_pressure(h, _trace_table(h.terms, draw()), N)
             return N**2 * v, N**2 * se
         cfg = gibbs.GibbsConfig("unitary-orbital", N, h, microstates=xi, **chain)
         return (_direct if method == "direct" else gibbs.log_partition)(cfg)
@@ -257,13 +286,17 @@ def finite_N_property_suite(
     equality on the product empirical measure."""
     _require_x_letters(h1, h2)
     N = microstates.N
-    samples = list(sample_conjugations(microstates, M, np.random.default_rng(seed)))
     # h1 <= h1 + q*q pointwise on every sample, and the midpoint of h1, h2
     q = h2 - h1
     dominating = h1 + q.adjoint() * q
     mid = (h1 + h2).scale(0.5)
-    pi1, pi2, pi_dom, pi_mid = (_sample_pressure(h, samples, N)[0]
-                                for h in (h1, h2, dominating, mid))
+    # disjoint family groups: h1 projected to family 1, h2 to families 2..n
+    g1 = _project_families(h1, {1})
+    g2 = _project_families(h2, set(range(2, microstates.layout.n + 1)))
+    polys = (h1, h2, dominating, mid, g1, g2)
+    traces = _trace_table((w for p in polys for w in p.terms),
+                          sample_conjugations(microstates, M, np.random.default_rng(seed)))
+    pi1, pi2, pi_dom, pi_mid = (_sample_pressure(h, traces, N)[0] for h in polys[:4])
 
     report = {}
 
@@ -280,11 +313,8 @@ def finite_N_property_suite(
     report["convex"] = {"pi_mid": pi_mid, "rhs": conv_rhs, "margin": conv_rhs - pi_mid}
 
     # (additive) disjoint family groups factorize exactly on the product
-    # empirical measure: project h1 to family 1, h2 to families 2..n
-    g1 = _project_families(h1, {1})
-    g2 = _project_families(h2, set(range(2, microstates.layout.n + 1)))
-    e1 = _exponents(_trace_evaluate_many(g1, samples), N)
-    e2 = _exponents(_trace_evaluate_many(g2, samples), N)
+    # empirical measure
+    e1, e2 = (_exponents(_Scorer(g).combine(*traces)[0], N) for g in (g1, g2))
     # family 1 carries no unitary, so every e1 is the same number; the
     # joint log-mean-exp over all (s, t) pairs then splits up to rounding
     joint = _log_mean_exp_se((e1[:, None] + e2[None, :]).ravel())[0] / N**2
@@ -386,7 +416,10 @@ def eta_estimate(
     if not basis:
         return EtaEstimate(basis, 0.0, np.zeros(0), [(0, 0.0)], converged=True)
 
-    shared = list(sample_conjugations(microstates, samples, np.random.default_rng(seed)))
+    # each basis word's traces over the shared set, computed once: every
+    # evaluation below is then arithmetic on these vectors
+    shared = _trace_table((w for b in basis for w in b.terms),
+                          sample_conjugations(microstates, samples, np.random.default_rng(seed)))
 
     evals = []
     best = [0.0, np.zeros(len(basis))]
@@ -425,7 +458,17 @@ def double_pressure(
     _require_x_letters(h2)
 
     def row(N, xi, draw, chain):
-        lme, se = _log_mean_exp_se(_exponents([double_trace_evaluate(h2, s) for s in draw()], N))
+        table, M = _trace_table((w for pair in h2.terms for w in pair), draw())
+        raws = np.zeros(M)
+        for (a, b), c in h2.terms.items():
+            # Re of (c tr a) tr b, Python's complex products written out on
+            # the parts, so each sample's sum is double_trace_evaluate's
+            c = complex(c)
+            ar, ai = table[a] if a else (1.0, 0.0)
+            br, bi = table[b] if b else (1.0, 0.0)
+            pr, pi = c.real * ar - c.imag * ai, c.real * ai + c.imag * ar
+            raws = raws + (pr * br - pi * bi)
+        lme, se = _log_mean_exp_se(_exponents(raws, N))
         return lme, N**2 * (se / N**2)
 
     return _per_N_estimate(h2, microstates_per_N, gibbs_settings, row)
@@ -497,7 +540,8 @@ def pressure_relation_check(
     sa = {(i, 1): quantile_microstate(mu, N) for i, mu in enumerate(marginals, start=1)}
     xi = MatrixTuple(layout, N, sa=sa, check_norm=False)
     orb, se_o = _sample_pressure(
-        h, sample_conjugations(xi, samples, np.random.default_rng(seed + 2)), N
+        h, _trace_table(h.terms, sample_conjugations(xi, samples, np.random.default_rng(seed + 2))),
+        N,
     )
 
     chis = [chi_single(mu) for mu in marginals]

@@ -328,6 +328,24 @@ class TestCommands:
         assert report["value"] <= 0.0
 
 
+ONE_FAMILY = json.loads((Path(__file__).parent / "data" / "one_family_reports.json").read_text())
+
+
+class TestOneFamily:
+    """One-family specs, whose samples carry no unitary at all, write the
+    report and trace bytes recorded when each sample was drawn and scored
+    on its own."""
+
+    @pytest.mark.parametrize("command", ["eta", "property-suite"])
+    def test_writes_recorded_bytes(self, tmp_path, command):
+        case = ONE_FAMILY[command]
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(case["spec"]))
+        code, out = run(tmp_path, command, spec)
+        assert code == 0
+        assert {name: (out / name).read_text() for name in case["files"]} == case["files"]
+
+
 class TestDirect:
     def test_direct_matches_library(self, tmp_path):
         spec = write_spec(tmp_path, gibbs={**BASE_SPEC["gibbs"], "method": "direct"})

@@ -12,7 +12,8 @@ from orbfree.matrices import (
     MatrixTuple,
     SpectralMeasure,
     _fold,
-    _trace_evaluate_many,
+    _Scorer,
+    _Stack,
     _TracePass,
     double_trace_evaluate,
     evaluate,
@@ -64,6 +65,15 @@ def make_tuple(rng, N, layout=LAYOUT, with_unitaries=True):
         for i in range(1, layout.n + 1):
             unitaries[i] = haar_unitary(N, rng)
     return MatrixTuple(layout, N, sa=sa, unitaries=unitaries)
+
+
+def stack_of(tups):
+    """The tuples as one _Stack, every slot stacked."""
+    first = tups[0]
+    return _Stack.of_slots(first.layout, first.N,
+                           {k: np.stack([t.sa[k] for t in tups]) for k in first.sa},
+                           {i: np.stack([t.unitaries[i] for t in tups]) for i in first.unitaries},
+                           len(tups))
 
 
 class TestSampling:
@@ -209,6 +219,18 @@ class TestClipReflect:
                     got, want = draw(N, rng), two_calls(N, ref)
                     assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("batch", [(1,), (4,), (3, 2)])
+    @pytest.mark.parametrize("N", [1, 2, 64])
+    def test_stacked_haar_draws_as_one_at_a_time(self, N, batch):
+        # a stack is the lone draws in row-major order, byte for byte, and
+        # leaves the generator where they would
+        rng, ref = np.random.default_rng(N), np.random.default_rng(N)
+        got = haar_unitary(N, rng, batch=batch)
+        want = np.stack([haar_unitary(N, ref) for _ in range(math.prod(batch))])
+        assert got.shape == (*batch, N, N)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == ref.bit_generator.state
 
     def test_fold_matches_scalar_reflection(self):
         def reflect(x, S):  # one value at a time, in Python floats
@@ -374,10 +396,10 @@ class TestTraceMemo:
         rng = np.random.default_rng(14)
         tups = [make_tuple(rng, 3) for _ in range(4)]
         p = parse("0.3*x[1,1]*x[2,1] + 0.3*x[2,1]*x[1,1] + 1/7*x[1,2]", LAYOUT)
-        batched = _trace_evaluate_many(p, tups)
+        re, im = _Scorer(p)(stack_of(tups))
         fresh = [MatrixTuple(LAYOUT, 3, sa=dict(t.sa), unitaries=dict(t.unitaries))
                  for t in tups]
-        assert batched == [trace_evaluate(p, t) for t in fresh]
+        assert [complex(a, b) for a, b in zip(re, im)] == [trace_evaluate(p, t) for t in fresh]
 
     def test_derived_tuples_start_empty(self):
         rng = np.random.default_rng(15)
@@ -432,6 +454,41 @@ def reference_trace(w, tup):
 def bits(v):
     """repr of both parts, so that -0.0 and 0.0 count as different."""
     return repr(v.real), repr(v.imag)
+
+
+class TestScorer:
+    """The scorer gives each state of a stack bitwise the real and
+    imaginary parts trace_evaluate gives it alone."""
+
+    LAYOUT3 = FamilyLayout(n=3, r=(2, 1, 1), R=2.0)
+    H = ("x[1,1]*x[2,1]*x[1,2]*x[3,1] + (1/3-2i)*z[1,1]*x[2,1]*z[1,2] + 1/4i*x[3,1]"
+         " + (0.1+0.2i)*u[2]*x[3,1]*u'[2] - u'[3]*x[1,2]*u[1]*z[2,1] + 0.3*z[1,1]*x[1,2]"
+         " + 0.2*u'[1]^2 - 1/7")
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 8])
+    def test_stack_equals_each_state_alone(self, N):
+        rng = np.random.default_rng(30 + N)
+        p = parse(self.H, self.LAYOUT3)
+        assert () in p.terms
+        B = 4
+        # family 1's matrices and unitary are shared by every state, so
+        # some words read no stacked slot; the other slots are stacked
+        sa = {(1, 1): 0.5 * gue(N, rng), (1, 2): 0.5 * gue(N, rng),
+              (2, 1): np.stack([0.5 * gue(N, rng) for _ in range(B)]), (3, 1): 0.5 * gue(N, rng)}
+        unitaries = {1: haar_unitary(N, rng), 2: haar_unitary(N, rng, batch=(B,)),
+                     3: haar_unitary(N, rng, batch=(B,))}
+        stack = _Stack.of_slots(self.LAYOUT3, N, sa, unitaries, B)
+        score = _Scorer(p)
+        re, im = score(stack)
+        assert re.shape == im.shape == (B,)
+        for k in range(B):
+            s = stack.state(k)
+            fresh = MatrixTuple(self.LAYOUT3, N, sa=dict(s.sa), unitaries=dict(s.unitaries),
+                                check_norm=False)
+            want = bits(trace_evaluate(p, fresh))
+            assert bits(complex(re[k], im[k])) == want
+            (lone_re,), (lone_im,) = score(s)
+            assert bits(complex(lone_re, lone_im)) == want
 
 
 # tuple kinds of the trace-pass property: "dense" clipped GUE, or diagonal
@@ -522,14 +579,16 @@ class TestTracePass:
         assert lookups == dict.fromkeys(letters, 1)
         assert len(letters) == 2
 
-    def test_trace_evaluate_many_looks_each_letter_up_once_per_tuple(self, lookups):
+    def test_scorer_looks_each_letter_up_once_per_stack(self, lookups):
         rng = np.random.default_rng(17)
-        tups = [make_tuple(rng, 3) for _ in range(5)]
+        stacks = [stack_of([make_tuple(rng, 3) for _ in range(size)]) for size in (3, 2)]
         p = parse("0.3*x[1,1]*x[2,1] + 0.3*x[2,1]*x[1,1] + x[1,1]^3 - 2*u[1]*z[1,2]*u'[1]",
                   LAYOUT)
-        _trace_evaluate_many(p, tups)
+        score = _Scorer(p)
+        for stack in stacks:
+            score(stack)
         letters = {l for w in p.terms for l in w}
-        assert lookups == dict.fromkeys(letters, len(tups))
+        assert lookups == dict.fromkeys(letters, len(stacks))
 
     def test_pass_keeps_no_matrix_on_the_tuple(self):
         tup = make_tuple(np.random.default_rng(20), 4)

@@ -159,22 +159,28 @@ class TestBasis:
 
 
 class TestSampleConjugations:
-    def test_draws_when_read(self):
+    def test_draws_when_read(self, monkeypatch):
         lay = FamilyLayout(n=3, r=(1, 1, 1), R=2.0)
         xi = semicircle_tuple(4, lay)
+        # the unitaries of two samples fill a stack, so 3 samples are 2 + 1
+        monkeypatch.setattr("orbfree.pressure._STACK_BYTES", 2 * 2 * 16 * 4 * 4)
         rng = np.random.default_rng(5)
         ref = np.random.default_rng(5)
         orbit = sample_conjugations(xi, 3, rng)
         assert rng.bit_generator.state == ref.bit_generator.state
-        for _ in range(3):
-            s = next(orbit)
-            # families 2..n draw in order as the sample is read, and no sooner
-            want = [haar_unitary(4, ref) for _ in (2, 3)]
+        for size in (2, 1):
+            stack = next(orbit)
+            # a stack is drawn when its first sample is read, and no sooner:
+            # its samples' families 2..n, in order, as lone draws
+            want = [[haar_unitary(4, ref) for _ in (2, 3)] for _ in range(size)]
             assert rng.bit_generator.state == ref.bit_generator.state
-            assert sorted(s.unitaries) == [2, 3]
-            assert [s.unitaries[i].tobytes() for i in (2, 3)] == [v.tobytes() for v in want]
-            assert all(s.sa[k] is a for k, a in xi.sa.items())
-            assert s.lookup(X1) is xi.sa[(1, 1)]
+            assert stack.size == size
+            for k, vs in enumerate(want):
+                s = stack.state(k)
+                assert sorted(s.unitaries) == [2, 3]
+                assert [s.unitaries[i].tobytes() for i in (2, 3)] == [v.tobytes() for v in vs]
+                assert all(s.sa[key] is a for key, a in xi.sa.items())
+                assert s.lookup(X1) is xi.sa[(1, 1)]
         assert next(orbit, None) is None
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
