@@ -140,18 +140,15 @@ def _stack(states: Sequence[MatrixTuple], config: GibbsConfig) -> dict:
             for slot in _slots(config)}
 
 
-class _Batch(_Stack):
-    """B states of one ensemble as one stack whose update slots hold the
-    stacked (B, N, N) arrays: the form in which the sweep kernel hands a
-    batch to ``energy``.  An orbital batch is the microstate tuple carrying
-    the stacked unitaries, as a lone state carries its own."""
-
-    @classmethod
-    def of(cls, stack: dict, config: GibbsConfig) -> "_Batch":
-        size = len(next(iter(stack.values())))
-        if config.kind == "unitary-orbital":
-            return cls.of_slots(config.layout, config.N, config.microstates.sa, stack, size)
-        return cls.of_slots(config.layout, config.N, stack, {}, size)
+def _batch(stack: dict, config: GibbsConfig) -> _Stack:
+    """B states of one ensemble as one ``_Stack`` whose update slots hold
+    the stacked (B, N, N) arrays: the form in which the sweep kernel hands
+    a batch to ``energy``.  An orbital batch is the microstate tuple
+    carrying the stacked unitaries, as a lone state carries its own."""
+    size = len(next(iter(stack.values())))
+    if config.kind == "unitary-orbital":
+        return _Stack.of_slots(config.layout, config.N, config.microstates.sa, stack, size)
+    return _Stack.of_slots(config.layout, config.N, stack, {}, size)
 
 
 def _raw(config: GibbsConfig, tup: MatrixTuple) -> np.ndarray:
@@ -171,7 +168,7 @@ def energy(state: MatrixTuple, config: GibbsConfig):
     their B raw values Re tr_N h from one evaluation; each chain forms its
     own energy N^2 beta raw.
     """
-    if isinstance(state, _Batch):
+    if isinstance(state, _Stack):
         return _raw(config, state)
     if config.h.is_zero:
         return 0.0
@@ -216,7 +213,7 @@ def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> di
             moved = ((vecs * phase) @ vecs.conj().swapaxes(-1, -2)) @ stack[slot]
         else:
             moved = spectral_reflect(stack[slot] + eps[:, None, None] * draws, config.R)
-        raws = energy(_Batch.of({**stack, slot: moved}, config), config).tolist()
+        raws = energy(_batch({**stack, slot: moved}, config), config).tolist()
         accept = []
         for chain, scale, raw in zip(chains, scales, raws):
             e_new = scale * raw
@@ -240,7 +237,7 @@ def _run_chains(chains: Sequence[GibbsChain], config: GibbsConfig, record: bool)
     ensemble, h and schedule, and may differ in beta, seed and step
     size."""
     stack = _stack([chain.state for chain in chains], config)
-    for chain, raw in zip(chains, energy(_Batch.of(stack, config), config).tolist()):
+    for chain, raw in zip(chains, energy(_batch(stack, config), config).tolist()):
         chain.raw = raw
     tune_interval = 20
     marks = [(0, 0)] * len(chains)  # (accepted, proposed) when each window opened
@@ -265,16 +262,16 @@ def _run_chains(chains: Sequence[GibbsChain], config: GibbsConfig, record: bool)
             if keep:
                 chain.sample_raws.append(chain.raw)
                 if record:
-                    chain.samples.append(_Batch.of(stack, config).state(k))
+                    chain.samples.append(_batch(stack, config).state(k))
     for k, chain in enumerate(chains):
-        chain.state = _Batch.of(stack, config).state(k)
+        chain.state = _batch(stack, config).state(k)
 
 
 def step(chain: GibbsChain) -> GibbsChain:
     """One Metropolis sweep over all update slots; mutates the chain."""
     config = chain.config
     stack = _sweep([chain], _stack([chain.state], config), config)
-    chain.state = _Batch.of(stack, config).state(0)
+    chain.state = _batch(stack, config).state(0)
     return chain
 
 

@@ -42,9 +42,7 @@ class MatrixTuple:
     ``sa`` maps (family, index) to a Hermitian matrix filling the x or z
     slots; ``unitaries`` maps family to a unitary filling the u slot.
     Matrices are validated on construction and a tuple is never mutated
-    afterwards, which makes ``_traces``, the memo of normalized word traces
-    filled by every trace pass (``trace_word``, ``trace_evaluate``, ...),
-    valid for the tuple's whole life.  No other matrix is kept on a tuple.
+    afterwards; a trace pass (``_word_traces``) keeps nothing on it.
     """
 
     layout: FamilyLayout
@@ -52,8 +50,6 @@ class MatrixTuple:
     sa: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     unitaries: dict[int, np.ndarray] = field(default_factory=dict)
     check_norm: InitVar[bool] = True  # check each sa matrix against the cutoff R
-    _traces: dict[Word, complex] = field(default_factory=dict, init=False, repr=False,
-                                         compare=False)
 
     def __post_init__(self, check_norm: bool):
         for (i, j), a in self.sa.items():
@@ -103,13 +99,12 @@ class MatrixTuple:
         unitaries: dict[int, np.ndarray],
     ) -> "MatrixTuple":
         """Build without validation, from matrices the caller has already
-        made Hermitian (and unitary) at dimension N; the memo starts empty."""
+        made Hermitian (and unitary) at dimension N."""
         out = cls.__new__(cls)
         out.layout = layout
         out.N = N
         out.sa = sa
         out.unitaries = unitaries
-        out._traces = {}
         return out
 
     def lookup(self, letter) -> np.ndarray:
@@ -160,7 +155,7 @@ class _Stack(MatrixTuple):
     """``size`` states as one tuple: each slot holds either one (N, N)
     matrix that every state shares or a stacked (size, N, N) array whose
     k-th matrix is state k's.  Letters, word products and traces then run
-    on all the states at once (``_TracePass``), and ``_Scorer`` scores
+    on all the states at once (``_word_traces``), and ``_Scorer`` scores
     them."""
 
     @classmethod
@@ -398,66 +393,51 @@ def evaluate_word(w: Word, tup: MatrixTuple) -> np.ndarray:
     return out
 
 
-class _TracePass:
-    """Normalized word traces on one tuple for the life of one call.
+def _word_traces(tup: MatrixTuple, words: Iterable[Word]) -> dict[Word, tuple]:
+    """(Re, Im) of tr_N of each word, in one trace pass over the tuple:
+    numbers on a lone tuple; on a stack, one value per state, or one
+    number for a word that reads no stacked slot, as the empty word's
+    (1.0, 0.0).
 
     Each letter is looked up once and each left-to-right prefix product
     P[w] = P[w[:-1]] @ letter is formed once, starting from the first
     letter itself.  ``evaluate_word`` starts from I @ letter, which differs
     from the letter only in the sign of zero entries; that sign cannot
     reach a trace, because products and sums of finite numbers carry it
-    only into zeros and ``np.sum`` returns +0 for a zero total.  So every
-    trace is bitwise the one computed from ``evaluate_word``.  Traces go
-    to the tuple's memo; the matrices stay on the pass and are dropped
-    with it, never on the tuple.
-
-    The same pass serves a ``_Stack``, B states at once: ``trace_sum``
-    then gives one trace per state, each bitwise the one that state gives
-    alone, or one number for a word that reads no stacked slot.
+    only into zeros and a sum returns +0 for a zero total.  Python's
+    complex quotient of Tr by N is written out on the parts, so each value
+    is bitwise the trace computed from ``evaluate_word``, and on a stack
+    the one each state gives alone.  The matrices live for the call only.
     """
-
-    __slots__ = ("_tup", "_letters", "_prefixes")
-
-    def __init__(self, tup: MatrixTuple):
-        self._tup = tup
-        self._letters: dict = {}
-        self._prefixes: dict[Word, np.ndarray] = {}
-
-    def _letter(self, letter) -> np.ndarray:
-        a = self._letters.get(letter)
-        if a is None:
-            a = self._letters[letter] = self._tup.lookup(letter)
-        return a
-
-    def _prefix(self, w: Word) -> np.ndarray:
-        if len(w) == 1:
-            return self._letter(w[0])
-        p = self._prefixes.get(w)
-        if p is None:
-            p = self._prefixes[w] = self._prefix(w[:-1]) @ self._letter(w[-1])
-        return p
-
-    def trace_sum(self, w: Word):
-        """Tr of a nonempty word, unnormalized: a number on a tuple of
-        matrices, one per state on a stack.  Not memoized."""
-        if len(w) == 1:
-            return np.trace(self._letter(w[0]), axis1=-2, axis2=-1)
-        return (self._prefix(w[:-1]).swapaxes(-1, -2) * self._letter(w[-1])).sum(axis=(-2, -1))
-
-    def trace(self, w: Word) -> complex:
+    letters: dict = {}
+    prefixes: dict[Word, np.ndarray] = {}  # products of two or more letters
+    N = tup.N
+    out = {}
+    for w in words:
+        if w in out:
+            continue
         if not w:
-            return 1.0 + 0.0j
-        tup = self._tup
-        v = tup._traces.get(w)
-        if v is None:
-            v = tup._traces[w] = complex(self.trace_sum(w)) / tup.N
-        return v
+            out[w] = (1.0, 0.0)
+            continue
+        for letter in w:
+            if letter not in letters:
+                letters[letter] = tup.lookup(letter)
+        if len(w) == 1:
+            s = np.trace(letters[w[0]], axis1=-2, axis2=-1)
+        else:
+            head = letters[w[0]]
+            for j in range(2, len(w)):
+                if w[:j] not in prefixes:
+                    prefixes[w[:j]] = head @ letters[w[j - 1]]
+                head = prefixes[w[:j]]
+            s = (head.swapaxes(-1, -2) * letters[w[-1]]).sum(axis=(-2, -1))
+        out[w] = ((s.real + s.imag * 0.0) / N, (s.imag - s.real * 0.0) / N)
+    return out
 
 
 def trace_word(w: Word, tup: MatrixTuple) -> complex:
-    """Normalized trace tr_N of the word on the tuple, computed once per
-    (tuple, word) and then read from the tuple's memo."""
-    return _TracePass(tup).trace(w)
+    """Normalized trace tr_N of the word on the tuple."""
+    return complex(*_word_traces(tup, (w,))[w])
 
 
 def evaluate(p: NCPoly, tup: MatrixTuple) -> np.ndarray:
@@ -469,69 +449,61 @@ def evaluate(p: NCPoly, tup: MatrixTuple) -> np.ndarray:
 
 
 def trace_evaluate(p: NCPoly, tup: MatrixTuple) -> complex:
-    """tr_N p on one tuple, each word's trace read from or added to the
-    tuple's memo; the sum runs over the terms in order from 0j."""
-    trace = _TracePass(tup).trace
-    return sum((complex(c) * trace(w) for w, c in p.terms.items()), 0.0 + 0.0j)
+    """tr_N p on one tuple, in one trace pass; the sum runs over the terms
+    in order from 0j.  The complex-arithmetic reference for ``_Scorer``."""
+    traces = _word_traces(tup, p.terms)
+    return sum((complex(c) * complex(*traces[w]) for w, c in p.terms.items()), 0.0 + 0.0j)
 
 
-def _word_traces(tup: MatrixTuple, words: Iterable[Word]) -> dict[Word, tuple]:
-    """(Re, Im) of tr_N of each nonempty word, in one trace pass over the
-    tuple: numbers on a lone tuple; on a stack, one value per state, or
-    one number for a word that reads no stacked slot.  Python's complex
-    quotient by N is written out on the parts, so each value is bitwise
-    the trace ``trace_word`` gives that state alone."""
-    trace_sum = _TracePass(tup).trace_sum
-    N = tup.N
-    out = {}
-    for w in words:
-        if w and w not in out:
-            s = trace_sum(w)
-            out[w] = ((s.real + s.imag * 0.0) / N, (s.imag - s.real * 0.0) / N)
-    return out
+def double_trace_evaluate(t: TensorNCPoly, tup: MatrixTuple) -> complex:
+    """(tr x tr) of a tensor polynomial: the sum from 0j of each coefficient
+    times the normalized traces of its two legs, in one trace pass.  The
+    complex-arithmetic reference for ``_Scorer`` on a tensor polynomial."""
+    traces = _word_traces(tup, (w for legs in t.terms for w in legs))
+    return sum((complex(c) * complex(*traces[a]) * complex(*traces[b])
+                for (a, b), c in t.terms.items()), 0.0 + 0.0j)
 
 
 class _Scorer:
-    """tr_N p compiled once for scoring many states: each coefficient
-    converted to complex once and kept as its two parts.
+    """tr_N p, or (tr x tr) t, compiled once for scoring many states: each
+    term kept as its words, the legs (one for an ``NCPoly``, two for a
+    ``TensorNCPoly``), and its coefficient converted to complex once and
+    kept as its two parts.
 
-    Scoring repeats the final arithmetic of ``trace_evaluate`` (terms
-    added in order from 0j) with Python's complex product written out on
-    the parts, so each state of a stack gets bitwise the real and
-    imaginary parts ``trace_evaluate`` gives it alone.  ``combine`` takes
-    the word traces precomputed: from ``_word_traces`` on one tuple, or
-    gathered into vectors over a whole sample set.
+    Scoring repeats the final arithmetic of ``trace_evaluate`` and
+    ``double_trace_evaluate``, the coefficient times each leg's trace in
+    turn and the terms added in order from 0j, with Python's complex
+    product written out on the parts.  So each state of a stack gets
+    bitwise the real and imaginary parts those references give it alone.
+    ``combine`` takes the word traces precomputed: from ``_word_traces``
+    on one tuple, or gathered into vectors over a whole sample set.
     """
 
     __slots__ = ("terms",)
 
-    def __init__(self, p: NCPoly):
+    def __init__(self, p: NCPoly | TensorNCPoly):
+        tensor = isinstance(p, TensorNCPoly)
         self.terms = []
-        for w, c in p.terms.items():
+        for key, c in p.terms.items():
             c = complex(c)
-            self.terms.append((w, c.real, c.imag))
+            self.terms.append((key if tensor else (key,), c.real, c.imag))
 
     def __call__(self, tup: MatrixTuple) -> tuple[np.ndarray, np.ndarray]:
-        """(Re, Im) of tr_N p on each state the tuple holds: one state on
-        a lone tuple, ``size`` on a stack."""
+        """(Re, Im) of the value on each state the tuple holds: one state
+        on a lone tuple, ``size`` on a stack."""
         size = tup.size if isinstance(tup, _Stack) else 1
-        return self.combine(_word_traces(tup, (w for w, _, _ in self.terms)), size)
+        return self.combine(_word_traces(tup, (w for legs, _, _ in self.terms for w in legs)),
+                            size)
 
     def combine(self, traces: dict, size: int) -> tuple[np.ndarray, np.ndarray]:
-        """(Re, Im) of tr_N p on size states, from the (Re, Im) traces of
-        its nonempty words on them."""
+        """(Re, Im) of the value on size states, from the (Re, Im) traces
+        of its words on them."""
         re = np.zeros(size)
         im = np.zeros(size)
-        for w, cr, ci in self.terms:
-            vr, vi = traces[w] if w else (1.0, 0.0)
-            re = re + (cr * vr - ci * vi)
-            im = im + (cr * vi + ci * vr)
+        for legs, pr, pi in self.terms:
+            for w in legs:
+                vr, vi = traces[w]
+                pr, pi = pr * vr - pi * vi, pr * vi + pi * vr
+            re = re + pr
+            im = im + pi
         return re, im
-
-
-def double_trace_evaluate(t: TensorNCPoly, tup: MatrixTuple) -> complex:
-    """(tr x tr) of a tensor polynomial: sum of coefficient times product
-    of normalized traces of the two legs."""
-    trace = _TracePass(tup).trace
-    return sum((complex(c) * trace(a) * trace(b) for (a, b), c in t.terms.items()),
-               0.0 + 0.0j)

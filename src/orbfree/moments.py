@@ -13,7 +13,7 @@ from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, SpectralMeasure, _TracePass
+from .matrices import MatrixTuple, SpectralMeasure, _word_traces
 from .poly import (
     FamilyLayout,
     Letter,
@@ -182,9 +182,9 @@ def empirical_state(tup: MatrixTuple, m: int) -> MomentTable:
     if m < 1:
         raise ValueError("degree bound must be >= 1")
     table = MomentTable(tup.layout, "x", m, tup.layout.R)
-    trace = _TracePass(tup).trace
-    for key in _canonical_keys(tuple(x_letters(tup.layout)), m):
-        table.values[key] = trace(key)
+    keys = _canonical_keys(tuple(x_letters(tup.layout)), m)
+    for key, (re, im) in _word_traces(tup, keys).items():
+        table.values[key] = complex(re, im)
     return table
 
 

@@ -525,7 +525,8 @@ def _number(text: str, pos: int) -> QC:
 # the parser's limits: parentheses nest at most MAX_NESTING deep, and a
 # power p^e is refused, before anything is expanded, when e or its degree
 # e * degree(p) exceeds MAX_POWER_DEGREE, or when len(p.terms)^e, the most
-# terms its expansion can have, exceeds MAX_POWER_TERMS
+# terms its expansion can have, exceeds MAX_POWER_TERMS; so is a product
+# p*q when len(p.terms) * len(q.terms) exceeds MAX_POWER_TERMS
 MAX_NESTING = 100
 MAX_POWER_DEGREE = 64
 MAX_POWER_TERMS = 1024
@@ -565,8 +566,13 @@ class _Parser:
     def parse_term(self) -> NCPoly:
         acc = self.parse_factor()
         while self.peek()[1] == "*":
-            self.next()
-            acc = acc * self.parse_factor()
+            pos = self.next()[2]
+            factor = self.parse_factor()
+            if len(acc.terms) * len(factor.terms) > MAX_POWER_TERMS:
+                raise ParseError(f"product of a {len(acc.terms)}-term and a "
+                                 f"{len(factor.terms)}-term factor may expand to more than "
+                                 f"{MAX_POWER_TERMS} terms", pos)
+            acc = acc * factor
         return acc
 
     def parse_factor(self) -> NCPoly:

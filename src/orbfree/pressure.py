@@ -133,10 +133,10 @@ def _require_x_letters(*polys) -> None:
 
 
 def _trace_table(words: Iterable, samples: Iterable[_Stack]) -> tuple[dict, int]:
-    """The traces of a shared sample set: (Re, Im) of tr_N of each
-    nonempty word as two vectors over the samples in order, and the
-    number of samples M.  Each stack is read once, in one trace pass."""
-    parts = {w: ([], []) for w in words if w}
+    """The traces of a shared sample set: (Re, Im) of tr_N of each word
+    as two vectors over the samples in order, and the number of samples
+    M.  Each stack is read once, in one trace pass."""
+    parts = {w: ([], []) for w in words}
     M = 0
     for stack in samples:
         for w, (vr, vi) in _word_traces(stack, parts).items():
@@ -458,17 +458,8 @@ def double_pressure(
     _require_x_letters(h2)
 
     def row(N, xi, draw, chain):
-        table, M = _trace_table((w for pair in h2.terms for w in pair), draw())
-        raws = np.zeros(M)
-        for (a, b), c in h2.terms.items():
-            # Re of (c tr a) tr b, Python's complex products written out on
-            # the parts, so each sample's sum is double_trace_evaluate's
-            c = complex(c)
-            ar, ai = table[a] if a else (1.0, 0.0)
-            br, bi = table[b] if b else (1.0, 0.0)
-            pr, pi = c.real * ar - c.imag * ai, c.real * ai + c.imag * ar
-            raws = raws + (pr * br - pi * bi)
-        lme, se = _log_mean_exp_se(_exponents(raws, N))
+        traces = _trace_table((w for legs in h2.terms for w in legs), draw())
+        lme, se = _log_mean_exp_se(_exponents(_Scorer(h2).combine(*traces)[0], N))
         return lme, N**2 * (se / N**2)
 
     return _per_N_estimate(h2, microstates_per_N, gibbs_settings, row)

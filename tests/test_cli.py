@@ -83,6 +83,7 @@ class TestVerify:
         pytest.param("(" * 3000 + "x[1,1]" + ")" * 3000, 100, id="deep-parentheses"),
         pytest.param("x[1,1]^4000", 7, id="power-degree"),
         pytest.param("(x[1,1]+x[2,1])^12", 16, id="power-terms"),
+        pytest.param("(x[1,1]+x[2,1])^10*(x[1,1]+x[2,1])^10", 18, id="power-product"),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_parser_limits_exit_2(self, tmp_path, capsys, h, pos, flags):

@@ -184,3 +184,33 @@ def test_every_exported_option_is_set_by_the_program():
         unset += [f"{qualname}.{p.name}" for p in params
                   if p.default is not p.empty and p.name not in bound]
     assert sorted(unset) == sorted(UNSET_OPTIONS_KEPT)
+
+
+# exported functions that no call in the program makes, kept on purpose
+UNCALLED_FUNCTIONS_KEPT = {
+    "matrices.MatrixTuple.conjugated":
+        "criterion 5 conjugates tuples by Haar unitaries, and the Gibbs tests check "
+        "orbital states against it",
+    "matrices.spectral_clip": "a test fixture: it clips GUE draws into the cutoff",
+    "matrices.evaluate": "the matrix reference for polynomial evaluation; item 5 may use it",
+    "matrices.trace_word": "the complex-arithmetic reference for one word's trace",
+    "matrices.double_trace_evaluate":
+        "the complex-arithmetic reference for scoring tensor polynomials",
+    "moments.MomentTable.check_invariants": "asserted by a test",
+    "moments.free_cumulants": "the reference for free_product; item 3 may use it",
+    "moments.moments_from_cumulants": "the reference for free_product; item 3 may use it",
+    "gibbs.step": "BENCHMARK.json names it, so it goes with the next change to the benchmark",
+    "pressure.double_pressure": "serves acceptance criterion 10",
+    "pressure.penalty_poly": "serves acceptance criterion 10",
+    "sdsolver.free_haar_state": "serves acceptance criterion 7",
+}
+
+
+def test_every_exported_function_is_called_by_the_program():
+    # an exported function only tests reach is code kept for the tests alone;
+    # operator dunders are called by syntax, and a class's __init__ by its name
+    calls = _program_calls()
+    uncalled = [qualname for qualname, callee, _ in _exported_functions()
+                if not (callee.startswith("__") and callee.endswith("__"))
+                and callee not in calls]
+    assert sorted(uncalled) == sorted(UNCALLED_FUNCTIONS_KEPT)

@@ -248,7 +248,7 @@ class TestPlan:
 
     def check(self, cfg, states):
         want = [trace_evaluate(cfg.h, s).real for s in states]
-        assert energy(gibbs._Batch.of(gibbs._stack(states, cfg), cfg), cfg).tolist() == want
+        assert energy(gibbs._batch(gibbs._stack(states, cfg), cfg), cfg).tolist() == want
         for s, raw in zip(states, want):
             assert energy(s, cfg) == cfg.N**2 * cfg.beta * raw
 

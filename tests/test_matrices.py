@@ -14,7 +14,7 @@ from orbfree.matrices import (
     _fold,
     _Scorer,
     _Stack,
-    _TracePass,
+    _word_traces,
     double_trace_evaluate,
     evaluate,
     evaluate_word,
@@ -354,43 +354,14 @@ class TestEvaluation:
 
 
 class TestTraceMemo:
-    @pytest.fixture
-    def lookups(self, monkeypatch):
-        """Counts MatrixTuple.lookup calls: computing a trace from the
-        matrices looks up every letter, reading it from the memo none."""
-        counts = {"n": 0}
-        original = MatrixTuple.lookup
-
-        def counting(self, letter):
-            counts["n"] += 1
-            return original(self, letter)
-
-        monkeypatch.setattr(MatrixTuple, "lookup", counting)
-        return counts
-
-    def test_each_word_traced_once(self, lookups):
-        rng = np.random.default_rng(12)
-        tup = make_tuple(rng, 4)
-        w = parse("x[1,1]*x[2,1]*z[1,2]", LAYOUT)
-        ((word, _),) = w.terms.items()
-        first = trace_word(word, tup)
-        assert lookups["n"] == 3
-        again = trace_word(word, tup)
-        assert lookups["n"] == 3
-        assert again == first
-        # a second polynomial over the same words reads only the memo
-        p = parse("x[1,1]*x[2,1]*z[1,2] - 2*x[1,1]*x[2,1]*z[1,2]", LAYOUT)
-        trace_evaluate(p, tup)
-        assert lookups["n"] == 3
-
     def test_memo_matches_fresh_tuple(self):
         rng = np.random.default_rng(13)
         tup = make_tuple(rng, 5)
         p = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1] + 0.5*x[1,2]^2 - (0+1i)*u[2]*z[2,1]", LAYOUT)
-        memoized = [trace_evaluate(p, tup) for _ in range(3)]
+        repeated = [trace_evaluate(p, tup) for _ in range(3)]
         fresh = MatrixTuple(LAYOUT, 5, sa=dict(tup.sa), unitaries=dict(tup.unitaries))
-        assert memoized == [trace_evaluate(p, fresh)] * 3
-        assert all(type(v) is complex for v in memoized)
+        assert repeated == [trace_evaluate(p, fresh)] * 3
+        assert all(type(v) is complex for v in repeated)
 
     def test_batched_equals_single(self):
         rng = np.random.default_rng(14)
@@ -400,15 +371,13 @@ class TestTraceMemo:
         fresh = [MatrixTuple(LAYOUT, 3, sa=dict(t.sa), unitaries=dict(t.unitaries))
                  for t in tups]
         assert [complex(a, b) for a, b in zip(re, im)] == [trace_evaluate(p, t) for t in fresh]
-
-    def test_derived_tuples_start_empty(self):
-        rng = np.random.default_rng(15)
-        tup = make_tuple(rng, 4)
-        trace_evaluate(parse("x[1,1]*x[2,1]", LAYOUT), tup)
-        assert tup._traces
-        vs = [haar_unitary(4, rng) for _ in range(LAYOUT.n)]
-        assert tup.conjugated(vs)._traces == {}
-        assert tup.with_unitaries(dict(enumerate(vs, start=1)))._traces == {}
+        # a tensor polynomial, empty legs included, against its complex reference
+        q = parse("(1/3-2i)*x[1,1]*z[1,2] + u[2]*x[2,1] - 1/5", LAYOUT)
+        t = TensorNCPoly.of_pair(p, q) + TensorNCPoly.of_pair(q, q.adjoint())
+        assert any(not a for a, _ in t.terms) and any(not b for _, b in t.terms)
+        re, im = _Scorer(t)(stack_of(tups))
+        assert ([bits(complex(a, b)) for a, b in zip(re, im)]
+                == [bits(double_trace_evaluate(t, s)) for s in fresh])
 
     @pytest.mark.parametrize("kind", ["unitary-orbital", "matrix"])
     def test_gibbs_proposals_start_empty(self, kind, monkeypatch):
@@ -425,18 +394,14 @@ class TestTraceMemo:
 
         def recording(state, config):
             if all(state is not s for s in seen):
-                assert state._traces == {}
                 seen.append(state)
             return original(state, config)
 
         monkeypatch.setattr(gibbs, "energy", recording)
         chain = gibbs.run(cfg)
         assert chain.proposed > 0 and len(seen) > cfg.sweeps
-        # every memo a chain state carries agrees with a fresh computation
-        for state in seen:
-            fresh = MatrixTuple._unchecked(lay, 3, dict(state.sa), dict(state.unitaries))
-            for w, v in state._traces.items():
-                assert trace_word(w, fresh) == v
+        # the chain scores batches only, each through the stacked path
+        assert all(isinstance(state, _Stack) for state in seen)
 
 
 def reference_trace(w, tup):
@@ -530,8 +495,7 @@ class TestTracePass:
         tup = property_tuple(seed, N, kind, unitaries)
         if unitaries == "none":
             words = [tuple(l for l in w if l[0] in "xz") for w in words]  # x or z letters
-        trace = _TracePass(tup).trace
-        got = [trace(w) for w in words]
+        got = [trace_word(w, tup) for w in words]
         assert [bits(v) for v in got] == [bits(reference_trace(w, tup)) for w in words]
         assert all(type(v) is complex for v in got)
 
@@ -551,12 +515,13 @@ class TestTracePass:
             cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), microstates=micro)
             states = [micro.with_unitaries({1: haar_unitary(N, rng), 2: haar_unitary(N, rng)})
                       for _ in range(B)]
-        batch = _TracePass(gibbs._Batch.of(gibbs._stack(states, cfg), cfg)).trace_sum
-        lone = [_TracePass(s).trace_sum for s in states]
+        batch = _word_traces(gibbs._batch(gibbs._stack(states, cfg), cfg), words)
+        lone = [_word_traces(s, words) for s in states]
         for w in words:
             # a word of microstate letters only is one number for the whole batch
-            got = np.broadcast_to(batch(w), (B,))
-            assert [bits(complex(v)) for v in got] == [bits(complex(t(w))) for t in lone]
+            re, im = (np.broadcast_to(v, (B,)) for v in batch[w])
+            assert ([bits(complex(a, b)) for a, b in zip(re, im)]
+                    == [bits(complex(*t[w])) for t in lone])
 
     @pytest.fixture
     def lookups(self, monkeypatch):
@@ -603,4 +568,3 @@ class TestTracePass:
         assert tup.sa == sa and tup.unitaries == unitaries  # same array objects
         for k, a in [*tup.sa.items(), *tup.unitaries.items()]:
             assert np.array_equal(a, copies[k])
-        assert tup._traces and all(type(v) is complex for v in tup._traces.values())

@@ -129,6 +129,7 @@ class TestParse:
         ("2^65", 2),
         ("(x[1,1]+x[2,1])^11", 16),
         ("(x[1,1]+x[2,1]+x[1,2])^7", 23),
+        pytest.param("(x[1,1]+x[2,1])^10*(x[1,1]+x[2,1])^10", 18, id="power-product"),
     ])
     def test_limits_refused(self, text, pos):
         with pytest.raises(ParseError) as err:
@@ -138,6 +139,7 @@ class TestParse:
     def test_limits_admitted(self):
         assert parse("(" * 100 + "x[1,1]" + ")" * 100, LAYOUT) == parse("x[1,1]", LAYOUT)
         assert parse("x[1,1]^64", LAYOUT).degree == 64
+        assert len(parse("(x[1,1]+x[2,1])^5*(x[1,1]+x[2,1])^5", LAYOUT).terms) == 1024
         assert len(parse("(x[1,1]+x[2,1])^10", LAYOUT).terms) == 1024
         assert parse("2^64", LAYOUT) == NCPoly.one(LAYOUT).scale(2**64)
 

@@ -359,7 +359,7 @@ class TestRelationCheck:
 
 class TestGolden:
     """Small estimates pinned to exact floats, so that a change to the
-    shared-sample evaluation path (trace memo, batched evaluation,
+    shared-sample evaluation path (trace pass, batched evaluation,
     log-mean-exp) cannot move a reported number, not even in its last
     bit.  The values depend on the numpy/LAPACK build that draws the Haar
     samples; recapture them only for a deliberate change of numbers."""
