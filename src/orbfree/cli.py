@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import gibbs as gibbs_mod
 from . import pressure as pressure_mod
@@ -412,6 +411,9 @@ def cmd_eta(r: Resolved, seed: int):
         "basis": [b for b in est.basis],
         "diverged": est.diverged,
         "converged": est.converged,
+        "gradient_norm": est.gradient_norm,
+        "ess": est.ess,
+        "marginal_gap": est.marginal_gap,
     }
     if est.witness is not None:
         report["witness"] = est.witness
@@ -598,7 +600,6 @@ def main(argv=None) -> int:
             "versions": {
                 "python": platform.python_version(),
                 "numpy": np.__version__,
-                "scipy": scipy.__version__,
                 "orbfree": "0.1.0",
             },
             "tolerances": TOLERANCES,

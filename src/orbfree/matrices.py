@@ -4,11 +4,11 @@ spectral clipping, and evaluation of polynomials on matrix tuples."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .poly import FamilyLayout, NCPoly, TensorNCPoly, Word
 
@@ -185,6 +185,12 @@ def _finite(*values: float) -> tuple[float, ...]:
     return out
 
 
+def _semicircle_cdf(x: float, rad: float) -> float:
+    """The distribution function of the semicircle law on [-rad, rad]."""
+    t = x / rad
+    return 0.5 + (t * math.sqrt(max(0.0, 1 - t * t)) + math.asin(max(-1.0, min(1.0, t)))) / math.pi
+
+
 @dataclass(frozen=True)
 class SpectralMeasure:
     """Compactly supported probability measure on the line, given by a
@@ -266,16 +272,12 @@ class SpectralMeasure:
             raise ValueError("quantile argument must lie in [0,1]")
         if self.kind == "semicircle":
             (rad,) = self.params
-            # invert the semicircle CDF on [-rad, rad]
-            def cdf(x):
-                t = x / rad
-                return 0.5 + (t * math.sqrt(max(0.0, 1 - t * t)) + math.asin(max(-1.0, min(1.0, t)))) / math.pi
-
             if q <= 0.0:
                 return -rad
             if q >= 1.0:
                 return rad
-            return brentq(lambda x: cdf(x) - q, -rad, rad, xtol=1e-13)
+            # invert the semicircle CDF on [-rad, rad]
+            return _brentq(lambda x: _semicircle_cdf(x, rad) - q, -rad, rad, xtol=1e-13)
         if self.kind == "arcsine":
             a, b = self.params
             return a + (b - a) * math.sin(math.pi * q / 2) ** 2
@@ -311,6 +313,57 @@ class SpectralMeasure:
         if self.kind == "atomic":
             return sum(w * p**k for p, w in self.params)
         return float(np.mean(np.asarray(self.params) ** k))
+
+
+# scipy.optimize.brentq's defaults: relative tolerance and iteration cap
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb] by Brent's method, f(xa) and f(xb) of
+    opposite signs: scipy's brentq.c line by line, with its default rtol
+    and maxiter, so its operations, and hence its roots, are bitwise
+    scipy.optimize.brentq's."""
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            bound = 3 * abs(sbis) - delta
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"brentq failed to converge after {_BRENT_MAXITER} iterations, "
+                       f"value is {xcur}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from functools import partial
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import gibbs
 from .matrices import (
@@ -79,6 +78,9 @@ class EtaEstimate:
     minimizer: np.ndarray
     trace: list  # (evaluation index, objective value)
     converged: bool
+    gradient_norm: float | None  # |gradient|_inf where Newton stopped; None on the marginal ray
+    ess: float | None  # Kish ESS of the tilted sample weights there; None on the marginal ray
+    marginal_gap: float  # the largest |target - microstate| of a single-family basis element
     diverged: bool = False
     witness: NCPoly | None = None
 
@@ -358,10 +360,10 @@ def _target_pairing(target: MomentTable, h: NCPoly) -> float:
     return val.real
 
 
-def _marginal_mismatch(target: MomentTable, microstates: MatrixTuple, d: int, tol: float):
-    """Single-family word where the target disagrees with the microstate
-    marginal; returns a signed witness polynomial or None."""
-    marg = empirical_state(microstates, d)
+def _marginal_mismatch(target: MomentTable, marg: MomentTable, d: int, tol: float):
+    """Single-family word of length <= d where the target disagrees with
+    the microstate marginal marg; returns a signed witness polynomial or
+    None."""
     for w in sorted(target.values, key=len):
         if not w or len(w) > d:
             continue
@@ -382,6 +384,46 @@ def _marginal_mismatch(target: MomentTable, microstates: MatrixTuple, d: int, to
     return None
 
 
+class _EtaObjective:
+    """The eta objective on mixed basis elements b_k over one shared sample
+    set, f(c) = c.T + N^-2 log mean_s exp(-N^2 F[s].c), with
+    F[s, k] = Re tr_N b_k(sample s) and T[k] the target pairing of b_k,
+    both built once.  f is convex: under the tilted weights, proportional
+    to exp(-N^2 F[s].c), its gradient is T minus the mean of F and its
+    Hessian N^2 times the covariance of F."""
+
+    def __init__(self, target: MomentTable, mixed: list[NCPoly], samples: Iterable[_Stack],
+                 N: int):
+        traces = _trace_table((w for b in mixed for w in b.terms), samples)
+        self.F = np.empty((traces[1], len(mixed)))
+        for k, b in enumerate(mixed):
+            self.F[:, k] = _Scorer(b).combine(*traces)[0]
+        self.T = np.array([_target_pairing(target, b) for b in mixed])
+        self.N = N
+
+    def __call__(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """f(c), and the tilted weights at c, which sum to 1."""
+        e = -(self.N**2) * (self.F @ c)
+        shift = e.max()
+        p = np.exp(e - shift)
+        total = p.sum()
+        return float(c @ self.T + (shift + math.log(total / len(p))) / self.N**2), p / total
+
+    def derivatives(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The gradient and the Hessian at the point whose tilted weights are w."""
+        mean = w @ self.F
+        dev = self.F - mean
+        return self.T - mean, self.N**2 * (dev.T * w) @ dev
+
+
+# Newton on the mixed words stops once |gradient|_inf is at most this
+ETA_GRADIENT_TOL = 1e-10
+# Hessian eigenvalues at or below this fraction of the largest span its null space
+_NULL_RTOL = 1e-12
+# the Armijo sufficient-decrease fraction of the line search
+_ARMIJO = 1e-4
+
+
 def eta_estimate(
     target: MomentTable,
     microstates: MatrixTuple,
@@ -391,18 +433,33 @@ def eta_estimate(
     seed: int = 0,
     mismatch_tol: float = 0.05,
 ) -> EtaEstimate:
-    """Minimize c -> target(h_c) + pressure(h_c) over the self-adjoint
-    word basis with common random numbers across candidates.
+    """Minimize f(c) = target(h_c) + pressure(h_c), h_c = sum_k c_k b_k,
+    over the self-adjoint word basis on one shared sample set.
 
-    The h=0 point gives objective 0 exactly, so the achieved value is
-    never positive.  Marginal-inconsistent targets are detected first and
-    reported as divergence along the witness ray.
+    The basis splits exactly.  A single-family b_k has the same trace on
+    every sample as on the microstate, so it adds only the linear term
+    c_k (T_k - F_k), T_k its target pairing and F_k its microstate trace.
+    A gap above mismatch_tol makes f unbounded below: that is reported as
+    divergence along the witness ray.  Below it the largest gap is
+    reported as marginal_gap and those coordinates stay 0.
+
+    The mixed b_k give the convex _EtaObjective.  Damped Newton starts at
+    c = 0, where f = 0, and halves its step until the Armijo condition
+    holds; each evaluation of f counts against budget and is one row of
+    the trace.  It stops converged at |gradient|_inf <= ETA_GRADIENT_TOL.
+    The step is the minimum-norm one.  The Hessian's null space, its
+    eigenvalues at or below _NULL_RTOL times the largest, holds the
+    directions along which F[s].c is the same on every sample; f is linear
+    along them, so a gradient component above ETA_GRADIENT_TOL there makes
+    f fall without bound, reported as divergence with witness
+    sum_k d_k b_k, d that component's negative.
     """
     layout = target.layout
     N = microstates.N
     basis = selfadjoint_word_basis(layout, basis_degree)
+    marg = empirical_state(microstates, max(1, basis_degree))
 
-    witness = _marginal_mismatch(target, microstates, max(1, basis_degree), mismatch_tol)
+    witness = _marginal_mismatch(target, marg, max(1, basis_degree), mismatch_tol)
     if witness is not None:
         # follow the ray and record the decrease
         trace = []
@@ -410,38 +467,56 @@ def eta_estimate(
             h = witness.scale(alpha)
             obj = _target_pairing(target, h) - trace_evaluate(h, microstates).real
             trace.append((k, obj))
-        return EtaEstimate(basis, -math.inf, np.zeros(len(basis)), trace,
-                           converged=False, diverged=True, witness=witness)
+        gap = abs(_target_pairing(target, witness) - _target_pairing(marg, witness))
+        return EtaEstimate(basis, -math.inf, np.zeros(len(basis)), trace, converged=False,
+                           gradient_norm=None, ess=None, marginal_gap=gap,
+                           diverged=True, witness=witness)
 
-    if not basis:
-        return EtaEstimate(basis, 0.0, np.zeros(0), [(0, 0.0)], converged=True)
+    single = [_family_split(b) for b in basis]
+    gap = max((abs(_target_pairing(target, b) - _target_pairing(marg, b))
+               for b, s in zip(basis, single) if s), default=0.0)
+    mixed = [b for b, s in zip(basis, single) if not s]
+    objective = _EtaObjective(target, mixed, sample_conjugations(
+        microstates, samples, np.random.default_rng(seed)), N)
 
-    # each basis word's traces over the shared set, computed once: every
-    # evaluation below is then arithmetic on these vectors
-    shared = _trace_table((w for b in basis for w in b.terms),
-                          sample_conjugations(microstates, samples, np.random.default_rng(seed)))
+    c = np.zeros(len(mixed))
+    f, w = objective(c)
+    trace = [(0, f)]
+    direction = None
+    while True:
+        g, hessian = objective.derivatives(w)
+        gradient_norm = float(np.abs(g).max(initial=0.0))
+        if gradient_norm <= ETA_GRADIENT_TOL:
+            break
+        lam, U = np.linalg.eigh(hessian)
+        null = lam <= _NULL_RTOL * lam[-1]
+        g_null = U[:, null] @ (U[:, null].T @ g)
+        if np.abs(g_null).max(initial=0.0) > ETA_GRADIENT_TOL:
+            direction = -g_null  # f(c + a d) = f(c) - a |g_null|^2 for every a
+            break
+        d = -U[:, ~null] @ ((U[:, ~null].T @ g) / lam[~null])
+        t = 1.0
+        while len(trace) < budget:
+            f_t, w_t = objective(c + t * d)
+            trace.append((len(trace), f_t))
+            if f_t <= f + _ARMIJO * t * (g @ d):
+                break
+            t /= 2
+        else:
+            break  # the budget is spent
+        c, f, w = c + t * d, f_t, w_t
 
-    evals = []
-    best = [0.0, np.zeros(len(basis))]
-
-    def objective(c):
-        h = NCPoly.zero(layout)
-        for ck, b in zip(c, basis):
-            if ck != 0.0:
-                h = h + b.scale(float(ck))
-        val = _target_pairing(target, h) + _sample_pressure(h, shared, N)[0]
-        evals.append((len(evals), val))
-        if val < best[0]:
-            best[0] = val
-            best[1] = np.array(c, dtype=float)
-        return val
-
-    x0 = np.zeros(len(basis))
-    res = minimize(objective, x0, method="Nelder-Mead",
-                   options={"maxfev": budget, "xatol": 1e-4, "fatol": 1e-6})
-    value = min(0.0, float(best[0]))
-    return EtaEstimate(basis, value, best[1], evals,
-                       converged=bool(res.success))
+    minimizer = np.zeros(len(basis))
+    minimizer[[k for k, s in enumerate(single) if not s]] = c
+    stats = {"gradient_norm": gradient_norm, "ess": float(1.0 / (w @ w)), "marginal_gap": gap}
+    if direction is not None:
+        witness = NCPoly.zero(layout)
+        for dk, b in zip(direction, mixed):
+            witness = witness + b.scale(float(dk))
+        return EtaEstimate(basis, -math.inf, minimizer, trace, converged=False,
+                           diverged=True, witness=witness, **stats)
+    return EtaEstimate(basis, f, minimizer, trace,
+                       converged=gradient_norm <= ETA_GRADIENT_TOL, **stats)
 
 
 # ---------------------------------------------------------------------------

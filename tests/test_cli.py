@@ -328,6 +328,20 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert report["value"] <= 0.0
 
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_eta_with_too_few_samples_reports_divergence(self, tmp_path, capsys, samples):
+        # degree 3 has 3 mixed words, and 3 samples span at most 2 directions,
+        # so the Hessian is singular and the objective is unbounded below
+        spec = write_spec(tmp_path, Ns=[8], basis_degree=3,
+                          gibbs={"samples": samples, "budget": 20})
+        code, out = run(tmp_path, "eta", spec)
+        captured = capsys.readouterr()
+        assert code == 0
+        assert "Traceback" not in captured.out + captured.err
+        report = json.loads((out / "report.json").read_text())
+        assert report["diverged"] and not report["converged"]
+        assert report["value"] == "-inf" and report["witness"]
+
 
 ONE_FAMILY = json.loads((Path(__file__).parent / "data" / "one_family_reports.json").read_text())
 

@@ -89,6 +89,35 @@ def test_cli_import_leaves_scipy_integrate_out():
     assert proc.stdout.strip() == "False"
 
 
+def test_cli_runs_leave_scipy_out(tmp_path):
+    # brentq is ported and eta minimizes by Newton, so no command that
+    # samples, quantiles or minimizes loads any part of scipy; a fresh
+    # process, since the test session imports scipy itself
+    base = {"families": ["semicircle:2", "semicircle:2"], "R": 2.0, "m": 2, "seed": 3,
+            "h": "0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]"}
+    specs = {
+        "eta": {"Ns": [8], "basis_degree": 3, "gibbs": {"samples": 12, "budget": 10}},
+        "pressure": {"Ns": [2, 4], "gibbs": {"samples": 10}},
+        "freeness": {"Ns": [6], "conjugations": 3},
+        "property-suite": {"Ns": [2, 4], "h2": "0.1*x[1,1]^2", "gibbs": {"samples": 10}},
+    }
+    for command, spec in specs.items():
+        (tmp_path / f"{command}.json").write_text(json.dumps({**base, **spec}))
+    script = ("import sys\n"
+              "src, work = sys.argv[1:]\n"
+              "sys.path.insert(0, src)\n"
+              "import orbfree.cli\n"
+              "for command in ('eta', 'pressure', 'freeness', 'property-suite'):\n"
+              "    code = orbfree.cli.main([command, '--spec', f'{work}/{command}.json',\n"
+              "                             '--out', f'{work}/{command}'])\n"
+              "    assert code == 0, (command, code)\n"
+              "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script, str(ROOT / "src"), str(tmp_path)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 def _unused_imports(path: Path) -> list[str]:
     """Names a module imports but never reads and does not list in __all__."""
     tree = ast.parse(path.read_text())

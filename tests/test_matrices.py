@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from orbfree import gibbs
 from orbfree.matrices import (
     MatrixTuple,
     SpectralMeasure,
+    _brentq,
     _fold,
     _Scorer,
+    _semicircle_cdf,
     _Stack,
     _word_traces,
     double_trace_evaluate,
@@ -132,6 +135,20 @@ class TestSpectralMeasure:
         assert mu.quantile(0.5) == pytest.approx(0.0, abs=1e-10)
         assert mu.quantile(0.0) == -2.0
         assert mu.quantile(1.0) == 2.0
+
+    @pytest.mark.parametrize("radius", [2.0, 7.5])
+    def test_semicircle_quantiles_are_bitwise_scipy_brentq(self, radius):
+        # scipy is the reference here only: the port must give the very
+        # microstates scipy.optimize.brentq gave, at every (k - 1/2)/N
+        mu = SpectralMeasure.semicircle(radius)
+        for N in range(1, 129):
+            want = [brentq(lambda x: _semicircle_cdf(x, radius) - (k - 0.5) / N,
+                           -radius, radius, xtol=1e-13) for k in range(1, N + 1)]
+            assert np.diag(quantile_microstate(mu, N)).real.tolist() == want
+
+    def test_brentq_rejects_a_same_sign_bracket(self):
+        with pytest.raises(ValueError, match="different signs"):
+            _brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-13)
 
     def test_quantile_microstate_moments(self):
         mu = SpectralMeasure.semicircle(2.0)

@@ -15,10 +15,16 @@ from orbfree.matrices import (
     spectral_clip,
     trace_evaluate,
 )
-from orbfree.moments import MomentTable, free_product, table_from_measure
+from orbfree.moments import MomentTable, empirical_state, free_product, table_from_measure
 from orbfree.poly import FamilyLayout, NCPoly, TensorNCPoly, format_poly, letter_x, parse
 from orbfree.pressure import (
+    ETA_GRADIENT_TOL,
     PressureEstimate,
+    _EtaObjective,
+    _family_split,
+    _sample_pressure,
+    _target_pairing,
+    _trace_table,
     double_pressure,
     eta_estimate,
     finite_N_property_suite,
@@ -270,6 +276,78 @@ class TestEta:
         assert objs == sorted(objs, reverse=True)  # strictly decreasing ray
 
 
+class TestEtaNewton:
+    """The split of the eta objective and the Newton program on its mixed
+    part."""
+
+    @staticmethod
+    def target():
+        mu = SpectralMeasure.semicircle(2.0)
+        return free_product([table_from_measure(LAYOUT, i, 1, mu, 4) for i in (1, 2)], 4)
+
+    @staticmethod
+    def draw(tup, M, seed):
+        return sample_conjugations(tup, M, np.random.default_rng(seed))
+
+    def test_split_is_exact(self):
+        target, tup, N = self.target(), semicircle_tuple(12), 12
+        basis = selfadjoint_word_basis(LAYOUT, 3)
+        c = np.random.default_rng(4).normal(scale=0.05, size=len(basis))
+        h = NCPoly.zero(LAYOUT)
+        for ck, b in zip(c, basis):
+            h = h + b.scale(float(ck))
+        full = _target_pairing(target, h) + _sample_pressure(
+            h, _trace_table(h.terms, self.draw(tup, 40, 9)), N)[0]
+        single = [_family_split(b) for b in basis]
+        marg = empirical_state(tup, 3)
+        linear = sum(ck * (_target_pairing(target, b) - _target_pairing(marg, b))
+                     for ck, b, s in zip(c, basis, single) if s)
+        mixed = [b for b, s in zip(basis, single) if not s]
+        objective = _EtaObjective(target, mixed, self.draw(tup, 40, 9), N)
+        f, _ = objective(np.array([ck for ck, s in zip(c, single) if not s]))
+        assert abs(full - (f + linear)) <= 1e-12
+
+    def test_derivatives_match_finite_differences(self):
+        mixed = [b for b in selfadjoint_word_basis(LAYOUT, 4) if not _family_split(b)]
+        objective = _EtaObjective(self.target(), mixed, self.draw(semicircle_tuple(8), 50, 2), 8)
+        c = np.random.default_rng(1).normal(scale=0.02, size=len(mixed))
+        g, hessian = objective.derivatives(objective(c)[1])
+        step = 1e-6
+        for k in range(len(mixed)):
+            e = np.zeros(len(mixed))
+            e[k] = step
+            (fp, wp), (fm, wm) = objective(c + e), objective(c - e)
+            assert (fp - fm) / (2 * step) == pytest.approx(g[k], rel=1e-6, abs=1e-9)
+            column = (objective.derivatives(wp)[0] - objective.derivatives(wm)[0]) / (2 * step)
+            assert column == pytest.approx(hessian[:, k], rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [101, 3, 7, 11])
+    def test_eta_n32_converges(self, seed):
+        # the benchmark's eta-n32 spec: N = 32, degree 3, 150 samples, budget 100
+        mu = SpectralMeasure.semicircle(2.0)
+        target = free_product([table_from_measure(LAYOUT, i, 1, mu, 3) for i in (1, 2)], 3)
+        est = eta_estimate(target, semicircle_tuple(32), basis_degree=3, samples=150,
+                           budget=100, seed=seed)
+        assert est.converged and not est.diverged
+        assert est.gradient_norm <= ETA_GRADIENT_TOL
+        assert -0.05 <= est.value <= 0.0
+        assert len(est.trace) <= 100
+
+    @pytest.mark.parametrize("samples", [1, 2, 3])
+    def test_too_few_samples_diverge_along_a_null_direction(self, samples):
+        # 3 mixed words and at most 2 independent sample differences: the
+        # objective falls linearly along the witness, on the full route too
+        target, tup = self.target(), semicircle_tuple(8)
+        est = eta_estimate(target, tup, basis_degree=3, samples=samples, budget=20, seed=5)
+        assert est.diverged and est.value == -math.inf and not est.converged
+        table = _trace_table(est.witness.terms, self.draw(tup, samples, 5))
+        values = [_target_pairing(target, est.witness.scale(a))
+                  + _sample_pressure(est.witness.scale(a), table, 8)[0] for a in (1, 2, 3)]
+        assert values[0] < 0
+        assert values[1] - values[0] == pytest.approx(values[0], rel=1e-9)
+        assert values[2] - values[1] == pytest.approx(values[0], rel=1e-9)
+
+
 class TestDoublePressure:
     def test_unit_tensor(self):
         one = NCPoly.one(LAYOUT)
@@ -413,27 +491,11 @@ class TestGolden:
     def test_eta_estimate(self):
         est = eta_estimate(self.target(), semicircle_tuple(8), basis_degree=2, samples=16,
                            budget=30, seed=2, mismatch_tol=0.3)
-        self.exact(est.value, -0.0004306959468471541)
-        self.exact(est.minimizer.tolist(), [0.004906296610676734,
-                                            0.003519102041972736,
-                                            -0.0027333532075376633,
-                                            -0.007613894590545919,
-                                            -0.0004385802166026238])
-        self.exact(est.trace, [(0, 0.0), (1, 6.938893903907229e-21),
-                               (2, 7.806255641895632e-20), (3, 9.493724212982402e-06),
-                               (4, 1.0483359611145469e-05), (5, 9.493724212982619e-06),
-                               (6, -2.869750902536049e-06), (7, -9.51833869734537e-06),
-                               (8, -9.512522596373924e-06), (9, -1.7111680253596067e-05),
-                               (10, -3.0405608949344838e-05), (11, -1.9772478379670078e-05),
-                               (12, -2.7664688846008532e-05), (13, -3.8697650104115024e-05),
-                               (14, -5.7959975079016816e-05), (15, -4.858553164707144e-05),
-                               (16, -6.425237936971456e-05), (17, -9.158227422717861e-05),
-                               (18, -8.266806517424191e-05), (19, -9.677936969199356e-05),
-                               (20, -0.00013121667507399787), (21, -0.0001340916689425716),
-                               (22, -0.00018541264800504365), (23, -0.0001709536474412271),
-                               (24, -0.00020669849043627444), (25, -0.00028062102446461696),
-                               (26, -0.00026099856343538615), (27, -0.000318984289677581),
-                               (28, -0.0004306959468471541), (29, -0.00039936692771810325)])
+        self.exact(est.value, -0.0024404384956904016)
+        self.exact(est.minimizer.tolist(), [0.0, 0.0, 0.0, -0.1078984543918816, 0.0])
+        self.exact(est.trace, [(0, 0.0), (1, -0.002176140550216709),
+                               (2, -0.002440075479803752), (3, -0.0024404384943253234),
+                               (4, -0.0024404384956904016)])
 
     def test_double_pressure(self):
         pen = penalty_poly(self.target(), 2, 0.05, 1.0)
