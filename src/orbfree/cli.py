@@ -424,7 +424,7 @@ def cmd_eta(r: Resolved, seed: int):
 def cmd_gibbs(r: Resolved, seed: int):
     (N,) = r.Ns
     kind = r.gibbs.get("kind", "unitary-orbital")
-    ensemble = {"microstates": r.microstates(N)} if kind == "unitary-orbital" else {"R": r.layout.R}
+    ensemble = {"microstates": r.microstates(N)} if kind == "unitary-orbital" else {}
     chain = gibbs_mod.run(gibbs_mod.GibbsConfig(kind, N, r.h, seed=seed, **ensemble, **r.chain))
     mean = gibbs_mod.mean_tracial_state(chain, r.m)
     report = {
@@ -531,7 +531,7 @@ def cmd_property_suite(r: Resolved, seed: int):
 def cmd_relation_check(r: Resolved, seed: int):
     reports = []
     for N in r.Ns:
-        rep = pressure_mod.pressure_relation_check(r.h, R=r.layout.R, N=N,
+        rep = pressure_mod.pressure_relation_check(r.h, N=N,
                                                    gibbs_settings=r.sampling, seed=seed + N)
         rep["N"] = N
         reports.append(rep)

@@ -48,7 +48,6 @@ class GibbsConfig:
     N: int
     h: NCPoly
     microstates: MatrixTuple | None = None  # unitary-orbital kind
-    R: float | None = None  # matrix kind
     beta: float = 1.0
     eps: float = 0.2
     sweeps: int = 1000
@@ -78,9 +77,6 @@ class GibbsConfig:
                 fams = ", ".join(map(str, sorted(self.microstates.unitaries)))
                 raise ValueError(f"microstates carry a unitary for family {fams}; "
                                  "each chain state brings its own")
-        else:
-            if self.R is None:
-                raise ValueError("matrix kind needs a norm cutoff R")
 
     @property
     def layout(self):
@@ -184,7 +180,7 @@ def _initial_state(config: GibbsConfig, rng: np.random.Generator) -> MatrixTuple
     sa = {}
     for i in range(1, lay.n + 1):
         for j in range(1, lay.r[i - 1] + 1):
-            sa[(i, j)] = spectral_reflect(config.R * gue(config.N, rng), config.R)
+            sa[(i, j)] = spectral_reflect(lay.R * gue(config.N, rng), lay.R)
     return MatrixTuple._unchecked(lay, config.N, sa, {})
 
 
@@ -212,7 +208,7 @@ def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> di
             phase = np.exp(1j * eps[:, None] * w)[:, None, :]
             moved = ((vecs * phase) @ vecs.conj().swapaxes(-1, -2)) @ stack[slot]
         else:
-            moved = spectral_reflect(stack[slot] + eps[:, None, None] * draws, config.R)
+            moved = spectral_reflect(stack[slot] + eps[:, None, None] * draws, config.layout.R)
         raws = energy(_batch({**stack, slot: moved}, config), config).tolist()
         accept = []
         for chain, scale, raw in zip(chains, scales, raws):
@@ -301,7 +297,7 @@ def mean_tracial_state(chain: GibbsChain, m: int) -> MomentTable:
         for w, v in t.values.items():
             sums[w] = sums.get(w, 0.0) + v
             sqsums[w] = sqsums.get(w, 0.0) + abs(v) ** 2
-    out = MomentTable(config.layout, "x", m, config.layout.R)
+    out = MomentTable(config.layout, "x", m)
     stderr = {}
     for w, s in sums.items():
         mean = s / M

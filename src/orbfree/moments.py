@@ -105,7 +105,6 @@ class MomentTable:
     layout: FamilyLayout
     alphabet: str
     m: int
-    R: float
     values: dict[Word, complex] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -125,7 +124,7 @@ class MomentTable:
         if abs(self.values[()] - 1.0) > 1e-10:
             raise ValueError("trace of the unit must be 1")
         for w, v in self.values.items():
-            bound = self.R ** xz_letter_count(w)
+            bound = self.layout.R ** xz_letter_count(w)
             if abs(v) > bound * (1.0 + 1e-9) + 1e-10:
                 raise ValueError(f"moment bound violated at {w}: |{v}| > {bound}")
 
@@ -141,7 +140,7 @@ class MomentTable:
         data["metadata"] = {
             "layout": {"n": self.layout.n, "r": list(self.layout.r)},
             "m": self.m,
-            "R": self.R,
+            "R": self.layout.R,
             "alphabet": self.alphabet,
         }
         return data
@@ -152,7 +151,7 @@ class MomentTable:
 
         meta = data["metadata"]
         layout = FamilyLayout(n=meta["layout"]["n"], r=tuple(meta["layout"]["r"]), R=meta["R"])
-        out = MomentTable(layout, meta["alphabet"], meta["m"], meta["R"])
+        out = MomentTable(layout, meta["alphabet"], meta["m"])
         for key, (re, im) in ((k, v) for k, v in data.items() if k != "metadata"):
             if key == "1":
                 continue
@@ -181,7 +180,7 @@ def empirical_state(tup: MatrixTuple, m: int) -> MomentTable:
     in one trace pass over the tuple."""
     if m < 1:
         raise ValueError("degree bound must be >= 1")
-    table = MomentTable(tup.layout, "x", m, tup.layout.R)
+    table = MomentTable(tup.layout, "x", m)
     keys = _canonical_keys(tuple(x_letters(tup.layout)), m)
     for key, (re, im) in _word_traces(tup, keys).items():
         table.values[key] = complex(re, im)
@@ -257,7 +256,7 @@ def free_product(marginals: Sequence[MomentTable], m: int) -> MomentTable:
             raise ValueError("marginal degree insufficient")
     state = _CenteringRecursion(lambda l: l[1],
                                 lambda block: marginals[block[0][1] - 1].get(block))
-    out = MomentTable(layout, marginals[0].alphabet, m, layout.R)
+    out = MomentTable(layout, marginals[0].alphabet, m)
     for key in _canonical_keys(tuple(_alphabet_letters(layout, out.alphabet)), m):
         out.values[key] = state.at(key)
     return out
@@ -269,7 +268,7 @@ def table_from_measure(
     """Single-variable marginal table for slot (family, index) from a
     spectral measure's exact moments."""
     letter = letter_x(family, index)
-    out = MomentTable(layout, "x", m, layout.R)
+    out = MomentTable(layout, "x", m)
     for k in range(1, m + 1):
         out.values[(letter,) * k] = complex(mu.moment(k))
     return out

@@ -21,7 +21,6 @@ from .matrices import (
     _word_traces,
     haar_unitary,
     quantile_microstate,
-    trace_evaluate,
 )
 from .moments import (
     MomentTable,
@@ -134,45 +133,50 @@ def _require_x_letters(*polys) -> None:
                                      f"letter {_format_word((letter,))}")
 
 
-def _trace_table(words: Iterable, samples: Iterable[_Stack]) -> tuple[dict, int]:
-    """The traces of a shared sample set: (Re, Im) of tr_N of each word
-    as two vectors over the samples in order, and the number of samples
-    M.  Each stack is read once, in one trace pass."""
-    parts = {w: ([], []) for w in words}
-    M = 0
+def _sample_raws(polys: Sequence, samples: Iterable[_Stack]) -> np.ndarray:
+    """Re tr_N of each polynomial (NCPoly, or TensorNCPoly by the double
+    trace) on each sample of a shared set, as one row per polynomial over
+    the samples in order.  Each stack is read once, in one trace pass for
+    the words of every polynomial, and scored by one _Scorer each."""
+    scorers = [_Scorer(p) for p in polys]
+    words = [w for s in scorers for legs, _, _ in s.terms for w in legs]
+    parts = []
     for stack in samples:
-        for w, (vr, vi) in _word_traces(stack, parts).items():
-            parts[w][0].append(np.broadcast_to(vr, stack.size))
-            parts[w][1].append(np.broadcast_to(vi, stack.size))
-        M += stack.size
-    return {w: (np.concatenate(re), np.concatenate(im)) for w, (re, im) in parts.items()}, M
+        traces = _word_traces(stack, words)
+        rows = np.empty((len(scorers), stack.size))
+        for row, s in zip(rows, scorers):
+            row[:] = s.combine(traces, stack.size)[0]
+        parts.append(rows)
+    return np.concatenate(parts, axis=1)
 
 
-def _exponents(raws, N: int) -> np.ndarray:
-    """-N^2 times each sample's raw energy Re tr_N h, the terms of the
-    log-mean-exp."""
-    return -(N**2) * np.asarray(raws)
-
-
-def _log_mean_exp_se(e: np.ndarray) -> tuple[float, float]:
+def _log_mean_exp(e: np.ndarray) -> tuple[float, float, np.ndarray]:
     """log of the sample average of exp(e), with a delta-method standard
-    error: the one log-mean-exp every sample-set estimate goes through."""
+    error, and the tilted weights exp(e) / sum exp(e): the one
+    log-mean-exp every sample-set estimate goes through."""
     shift = e.max()
-    lme = float(shift + np.log(np.mean(np.exp(e - shift))))
+    p = np.exp(e - shift)
+    total = p.sum()
+    lme = float(shift + np.log(total / len(e)))
     w = np.exp(e - lme)  # mean 1 by construction
     se = float(w.std(ddof=1) / math.sqrt(len(w))) if len(w) > 1 else float("inf")
-    return lme, se
+    return lme, se, p / total
 
 
-def _sample_pressure(h: NCPoly, traces: tuple[dict, int], N: int) -> tuple[float, float]:
-    """(1/N^2) log of the sample average of exp(-N^2 tr h), with a
-    delta-method standard error, from the _trace_table of a sample set.
-    x letters evaluate as V Xi V* on the families whose samples carry a
-    unitary, and as Xi on family 1."""
-    if h.is_zero:
-        return 0.0, 0.0
-    lme, se = _log_mean_exp_se(_exponents(_Scorer(h).combine(*traces)[0], N))
+def _sample_pressure(raws: np.ndarray, N: int) -> tuple[float, float]:
+    """(1/N^2) log of the sample average of exp(-N^2 Re tr_N h), with a
+    delta-method standard error, from the _sample_raws row of h."""
+    lme, se, _ = _log_mean_exp(-(N**2) * raws)
     return lme / N**2, se / N**2
+
+
+def _sample_row(p, N: int, xi, draw, chain) -> tuple[float, float]:
+    """A _per_N_estimate row from the sample set draw(): log Z at N and its
+    standard error, N^2 times _sample_pressure.  x letters evaluate as
+    V Xi V* on the families whose samples carry a unitary, and as Xi on
+    family 1."""
+    v, se = _sample_pressure(_sample_raws([p], draw())[0], N)
+    return N**2 * v, N**2 * se
 
 
 def _family_split(h: NCPoly) -> bool:
@@ -216,10 +220,9 @@ def pressure_estimate(
         if h.is_zero:
             return 0.0, 0.0
         if _family_split(h):
-            return N**2 * -trace_evaluate(h, xi).real, 0.0
+            return N**2 * -_Scorer(h)(xi)[0].item(), 0.0
         if method == "sample":
-            v, se = _sample_pressure(h, _trace_table(h.terms, draw()), N)
-            return N**2 * v, N**2 * se
+            return _sample_row(h, N, xi, draw, chain)
         cfg = gibbs.GibbsConfig("unitary-orbital", N, h, microstates=xi, **chain)
         return (_direct if method == "direct" else gibbs.log_partition)(cfg)
 
@@ -248,14 +251,14 @@ def _direct(cfg: gibbs.GibbsConfig) -> tuple[float, float]:
     """log E_0[exp(-N^2 Re tr_N h)] over the retained states of the beta = 0
     chain; refuses when the spread of the energies exceeds
     DIRECT_SPREAD_LIMIT."""
-    e = _exponents(gibbs.run(replace(cfg, beta=0.0)).sample_raws, cfg.N)
+    e = -(cfg.N**2) * np.asarray(gibbs.run(replace(cfg, beta=0.0)).sample_raws)
     spread = e.max() - e.min()
     if spread > DIRECT_SPREAD_LIMIT:
         raise RuntimeError(
             f"direct estimator refused: energy spread {spread:.3g} exceeds "
             f"threshold {DIRECT_SPREAD_LIMIT}"
         )
-    return _log_mean_exp_se(e)
+    return _log_mean_exp(e)[:2]
 
 
 def _affine_fit(xs, ys):
@@ -296,9 +299,8 @@ def finite_N_property_suite(
     g1 = _project_families(h1, {1})
     g2 = _project_families(h2, set(range(2, microstates.layout.n + 1)))
     polys = (h1, h2, dominating, mid, g1, g2)
-    traces = _trace_table((w for p in polys for w in p.terms),
-                          sample_conjugations(microstates, M, np.random.default_rng(seed)))
-    pi1, pi2, pi_dom, pi_mid = (_sample_pressure(h, traces, N)[0] for h in polys[:4])
+    raws = _sample_raws(polys, sample_conjugations(microstates, M, np.random.default_rng(seed)))
+    pi1, pi2, pi_dom, pi_mid = (_sample_pressure(r, N)[0] for r in raws[:4])
 
     report = {}
 
@@ -316,11 +318,11 @@ def finite_N_property_suite(
 
     # (additive) disjoint family groups factorize exactly on the product
     # empirical measure
-    e1, e2 = (_exponents(_Scorer(g).combine(*traces)[0], N) for g in (g1, g2))
+    e1, e2 = -(N**2) * raws[4:]
     # family 1 carries no unitary, so every e1 is the same number; the
     # joint log-mean-exp over all (s, t) pairs then splits up to rounding
-    joint = _log_mean_exp_se((e1[:, None] + e2[None, :]).ravel())[0] / N**2
-    split = _log_mean_exp_se(e1)[0] / N**2 + _log_mean_exp_se(e2)[0] / N**2
+    joint = _log_mean_exp((e1[:, None] + e2[None, :]).ravel())[0] / N**2
+    split = _log_mean_exp(e1)[0] / N**2 + _log_mean_exp(e2)[0] / N**2
     report["additive"] = {"joint": joint, "split": split, "margin": abs(joint - split)}
 
     report["max_violation"] = max(
@@ -360,30 +362,6 @@ def _target_pairing(target: MomentTable, h: NCPoly) -> float:
     return val.real
 
 
-def _marginal_mismatch(target: MomentTable, marg: MomentTable, d: int, tol: float):
-    """Single-family word of length <= d where the target disagrees with
-    the microstate marginal marg; returns a signed witness polynomial or
-    None."""
-    for w in sorted(target.values, key=len):
-        if not w or len(w) > d:
-            continue
-        fams = {l[1] for l in w}
-        if len(fams) != 1:
-            continue
-        gap = (target.get(w) - marg.get(w)).real
-        if abs(gap) > tol:
-            p = NCPoly.monomial(target.layout, list(w), 1)
-            if not p.is_selfadjoint():
-                p = (p + p.adjoint()).scale(0.5)
-                gap = _target_pairing(target, p) - _target_pairing(marg, p)
-                if abs(gap) <= tol:
-                    continue
-            # moving along h = alpha * sign * p drives the objective to
-            # -infinity: the pressure term is exactly -alpha*sign*marg(p)
-            return p.scale(1.0 if gap < 0 else -1.0)
-    return None
-
-
 class _EtaObjective:
     """The eta objective on mixed basis elements b_k over one shared sample
     set, f(c) = c.T + N^-2 log mean_s exp(-N^2 F[s].c), with
@@ -394,20 +372,14 @@ class _EtaObjective:
 
     def __init__(self, target: MomentTable, mixed: list[NCPoly], samples: Iterable[_Stack],
                  N: int):
-        traces = _trace_table((w for b in mixed for w in b.terms), samples)
-        self.F = np.empty((traces[1], len(mixed)))
-        for k, b in enumerate(mixed):
-            self.F[:, k] = _Scorer(b).combine(*traces)[0]
+        self.F = _sample_raws(mixed, samples).T.copy()  # C order, one row per sample
         self.T = np.array([_target_pairing(target, b) for b in mixed])
         self.N = N
 
     def __call__(self, c: np.ndarray) -> tuple[float, np.ndarray]:
         """f(c), and the tilted weights at c, which sum to 1."""
-        e = -(self.N**2) * (self.F @ c)
-        shift = e.max()
-        p = np.exp(e - shift)
-        total = p.sum()
-        return float(c @ self.T + (shift + math.log(total / len(p))) / self.N**2), p / total
+        lme, _, w = _log_mean_exp(-(self.N**2) * (self.F @ c))
+        return float(c @ self.T + lme / self.N**2), w
 
     def derivatives(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The gradient and the Hessian at the point whose tilted weights are w."""
@@ -439,9 +411,11 @@ def eta_estimate(
     The basis splits exactly.  A single-family b_k has the same trace on
     every sample as on the microstate, so it adds only the linear term
     c_k (T_k - F_k), T_k its target pairing and F_k its microstate trace.
-    A gap above mismatch_tol makes f unbounded below: that is reported as
-    divergence along the witness ray.  Below it the largest gap is
-    reported as marginal_gap and those coordinates stay 0.
+    A gap above mismatch_tol makes f unbounded below: the first such b_k,
+    in basis order and signed so that f falls, is reported as the witness
+    of divergence, with f at 1, 2, 4 and 8 times it as the trace.  Below
+    it the largest gap is reported as marginal_gap and those coordinates
+    stay 0.
 
     The mixed b_k give the convex _EtaObjective.  Damped Newton starts at
     c = 0, where f = 0, and halves its step until the Armijo condition
@@ -459,22 +433,20 @@ def eta_estimate(
     basis = selfadjoint_word_basis(layout, basis_degree)
     marg = empirical_state(microstates, max(1, basis_degree))
 
-    witness = _marginal_mismatch(target, marg, max(1, basis_degree), mismatch_tol)
-    if witness is not None:
-        # follow the ray and record the decrease
-        trace = []
-        for k, alpha in enumerate((1.0, 2.0, 4.0, 8.0)):
-            h = witness.scale(alpha)
-            obj = _target_pairing(target, h) - trace_evaluate(h, microstates).real
-            trace.append((k, obj))
-        gap = abs(_target_pairing(target, witness) - _target_pairing(marg, witness))
-        return EtaEstimate(basis, -math.inf, np.zeros(len(basis)), trace, converged=False,
-                           gradient_norm=None, ess=None, marginal_gap=gap,
-                           diverged=True, witness=witness)
-
     single = [_family_split(b) for b in basis]
-    gap = max((abs(_target_pairing(target, b) - _target_pairing(marg, b))
-               for b, s in zip(basis, single) if s), default=0.0)
+    gaps = [(b, _target_pairing(target, b) - _target_pairing(marg, b))
+            for b, s in zip(basis, single) if s]
+    for b, g in gaps:
+        if abs(g) > mismatch_tol:
+            # along alpha * witness the pressure term is exactly
+            # -alpha * tr_N witness, so f is alpha times its value at 1
+            witness = b.scale(1.0 if g < 0 else -1.0)
+            f1 = _target_pairing(target, witness) - _Scorer(witness)(microstates)[0].item()
+            trace = [(k, alpha * f1) for k, alpha in enumerate((1.0, 2.0, 4.0, 8.0))]
+            return EtaEstimate(basis, -math.inf, np.zeros(len(basis)), trace, converged=False,
+                               gradient_norm=None, ess=None, marginal_gap=abs(g),
+                               diverged=True, witness=witness)
+    gap = max((abs(g) for _, g in gaps), default=0.0)
     mixed = [b for b, s in zip(basis, single) if not s]
     objective = _EtaObjective(target, mixed, sample_conjugations(
         microstates, samples, np.random.default_rng(seed)), N)
@@ -532,12 +504,7 @@ def double_pressure(
     log-mean-exp pipeline as pressure_estimate's sample method."""
     _require_x_letters(h2)
 
-    def row(N, xi, draw, chain):
-        traces = _trace_table((w for legs in h2.terms for w in legs), draw())
-        lme, se = _log_mean_exp_se(_exponents(_Scorer(h2).combine(*traces)[0], N))
-        return lme, N**2 * (se / N**2)
-
-    return _per_N_estimate(h2, microstates_per_N, gibbs_settings, row)
+    return _per_N_estimate(h2, microstates_per_N, gibbs_settings, partial(_sample_row, h2))
 
 
 def penalty_poly(target: MomentTable, m: int, beta: float, delta: float) -> TensorNCPoly:
@@ -565,7 +532,6 @@ RELATION_CHAIN_DEFAULTS = {"sweeps": 600, "burn_in": 150, "thinning": 5}
 
 def pressure_relation_check(
     h: NCPoly,
-    R: float,
     N: int,
     gibbs_settings: dict | None = None,
     seed: int = 0,
@@ -587,7 +553,7 @@ def pressure_relation_check(
     _require_x_letters(h)
 
     # h=0 matrix reference chain supplies the marginal spectra
-    cfg0 = gibbs.GibbsConfig("matrix", N, NCPoly.zero(layout), R=R, seed=seed, **settings)
+    cfg0 = gibbs.GibbsConfig("matrix", N, NCPoly.zero(layout), seed=seed, **settings)
     chain0 = gibbs.run(cfg0)
     marginals = []
     for i in range(1, layout.n + 1):
@@ -597,7 +563,7 @@ def pressure_relation_check(
         marginals.append(SpectralMeasure.empirical(eigs))
 
     # matrix-side relative log-partition
-    cfg_h = gibbs.GibbsConfig("matrix", N, h, R=R, seed=seed + 1, **settings)
+    cfg_h = gibbs.GibbsConfig("matrix", N, h, seed=seed + 1, **settings)
     rel_logz, se_m = gibbs.log_partition(cfg_h)
     rel = rel_logz / N**2
     se_m /= N**2
@@ -605,10 +571,8 @@ def pressure_relation_check(
     # orbital side with quantile microstates of the same marginals
     sa = {(i, 1): quantile_microstate(mu, N) for i, mu in enumerate(marginals, start=1)}
     xi = MatrixTuple(layout, N, sa=sa, check_norm=False)
-    orb, se_o = _sample_pressure(
-        h, _trace_table(h.terms, sample_conjugations(xi, samples, np.random.default_rng(seed + 2))),
-        N,
-    )
+    orb, se_o = (0.0, 0.0) if h.is_zero else _sample_pressure(
+        _sample_raws([h], sample_conjugations(xi, samples, np.random.default_rng(seed + 2)))[0], N)
 
     chis = [chi_single(mu) for mu in marginals]
     margin = rel - orb

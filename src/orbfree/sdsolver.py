@@ -47,7 +47,6 @@ __all__ = [
     "SDReport",
     "sd_solve",
     "sd_residual",
-    "plan_residual",
     "pushforward_x",
     "liberation_check",
     "free_haar_state",
@@ -130,7 +129,7 @@ class SDReport:
 
 def free_haar_state(problem: SDProblem, words: Sequence[Word]) -> MomentTable:
     """Free-product oracle values on the given uz-words."""
-    out = MomentTable(problem.layout, "uz", problem.D, problem.layout.R)
+    out = MomentTable(problem.layout, "uz", problem.D)
     for w in words:
         key, _ = canonical_word(w)
         out.values[key] = problem.oracle.at(key)
@@ -286,7 +285,7 @@ def sd_solve(problem: SDProblem, pushforward_degree: int = 4) -> tuple[MomentTab
         if delta <= problem.tol / 10.0:
             converged = True
             break
-    table = MomentTable(problem.layout, "uz", problem.D, problem.layout.R)
+    table = MomentTable(problem.layout, "uz", problem.D)
     table.values.update(solver.values)
     # pure z words, which no plan holds, for completeness
     zs = tuple(l for l in _alphabet_letters(problem.layout, "uz") if l[0] == "z")
@@ -331,14 +330,6 @@ def sd_residual(table: MomentTable, problem: SDProblem) -> float:
     return worst
 
 
-def plan_residual(table: MomentTable, problem: SDProblem) -> float:
-    """Max |undamped update - value| over the SD plan of every word in the
-    table, from one pass that changes nothing; planned words the table
-    lacks read the h = 0 seed."""
-    solver = _Solver(problem, list(table.values))
-    return solver.plan_residual({**solver.values, **table.values})
-
-
 # ---------------------------------------------------------------------------
 # pushforward and liberation identity
 
@@ -346,7 +337,7 @@ def plan_residual(table: MomentTable, problem: SDProblem) -> float:
 def pushforward_x(table: MomentTable, problem: SDProblem, m: int) -> MomentTable:
     """Moments of x_ij = u_i z_ij u_i* under the solved state."""
     layout = problem.layout
-    out = MomentTable(layout, "x", m, layout.R)
+    out = MomentTable(layout, "x", m)
     for key in _canonical_keys(tuple(x_letters(layout)), m):
         zw = substitute_x(NCPoly.monomial(layout, list(key), 1))
         ((word, c),) = zw.terms.items()

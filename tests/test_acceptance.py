@@ -283,7 +283,7 @@ def test_criterion_09_relation_margin():
         h = parse(f"{c1}*x[1,1]^2 + {c2}*x[2,1]^2", LAYOUT) + mixed_h(c3)
         N = (8, 12, 16)[k]
         rep = pressure_mod.pressure_relation_check(
-            h, R=2.0, N=N,
+            h, N=N,
             gibbs_settings={"sweeps": 500, "burn_in": 120, "samples": 150},
             seed=90 + k,
         )

@@ -179,16 +179,65 @@ def _exported_functions():
                     yield f"{name}.{export}.{attr}", callee, params
 
 
+def _program_trees() -> list[tuple[Path, ast.Module]]:
+    """The parsed files of the program and the benchmark."""
+    files = sorted(f for d in ("src/orbfree", "perfbench") for f in (ROOT / d).rglob("*.py"))
+    return [(f, ast.parse(f.read_text())) for f in files]
+
+
 def _program_calls() -> dict[str, list[ast.Call]]:
     """Every call in the program and the benchmark, keyed by the name it
     calls: the bare name, or the attribute after the last dot."""
     calls: dict[str, list[ast.Call]] = {}
-    for f in sorted(f for d in ("src/orbfree", "perfbench") for f in (ROOT / d).rglob("*.py")):
-        for node in ast.walk(ast.parse(f.read_text())):
+    for _, tree in _program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _dotted(node) -> str | None:
+    """'a.b.c' for a chain of attributes on a name, else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _function_calls() -> set[str]:
+    """The calls in the program and the benchmark that can reach a
+    module-level function: 'f' for a bare f(...), and 'orbfree.<module>.f'
+    for m.f(...) where m is a name the file binds to that module, by
+    `import orbfree.<module> [as m]`, `from orbfree import <module> [as m]`
+    or its relative form in the package."""
+    calls = set()
+    for path, tree in _program_trees():
+        package = "orbfree" if path.parent.name == "orbfree" else None
+        aliases = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    head = a.name.split(".")[0]
+                    aliases[a.asname or head] = a.name if a.asname else head
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(filter(None, (package if node.level else None, node.module)))
+                for a in node.names:
+                    aliases[a.asname or a.name] = f"{base}.{a.name}"
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Name):
+                calls.add(node.func.id)
+            elif isinstance(node.func, ast.Attribute):
+                owner = _dotted(node.func.value)
+                if owner:
+                    head, _, rest = owner.partition(".")
+                    if head in aliases:
+                        calls.add(".".join(filter(None, (aliases[head], rest, node.func.attr))))
     return calls
 
 
@@ -223,6 +272,8 @@ UNCALLED_FUNCTIONS_KEPT = {
     "matrices.spectral_clip": "a test fixture: it clips GUE draws into the cutoff",
     "matrices.evaluate": "the matrix reference for polynomial evaluation; item 5 may use it",
     "matrices.trace_word": "the complex-arithmetic reference for one word's trace",
+    "matrices.trace_evaluate":
+        "the complex-arithmetic reference for scoring polynomials; BENCHMARK.json names it",
     "matrices.double_trace_evaluate":
         "the complex-arithmetic reference for scoring tensor polynomials",
     "moments.MomentTable.check_invariants": "asserted by a test",
@@ -237,9 +288,49 @@ UNCALLED_FUNCTIONS_KEPT = {
 
 def test_every_exported_function_is_called_by_the_program():
     # an exported function only tests reach is code kept for the tests alone;
-    # operator dunders are called by syntax, and a class's __init__ by its name
+    # operator dunders are called by syntax, and a class's __init__ by its
+    # name.  A method counts as called through any attribute of its name; a
+    # module-level function only as f(...) or <module alias>.f(...), since a
+    # method of the same name would hide it otherwise
     calls = _program_calls()
-    uncalled = [qualname for qualname, callee, _ in _exported_functions()
-                if not (callee.startswith("__") and callee.endswith("__"))
-                and callee not in calls]
+    functions = _function_calls()
+    uncalled = []
+    for qualname, callee, _ in _exported_functions():
+        if callee.startswith("__") and callee.endswith("__"):
+            continue
+        module, *path = qualname.split(".")
+        if len(path) == 1 and inspect.isfunction(getattr(importlib.import_module(
+                f"orbfree.{module}"), callee)):
+            called = callee in functions or f"orbfree.{qualname}" in functions
+        else:
+            called = callee in calls
+        if not called:
+            uncalled.append(qualname)
     assert sorted(uncalled) == sorted(UNCALLED_FUNCTIONS_KEPT)
+
+
+def _exp_log_callers(path: Path) -> list[str]:
+    """'<qualified function>:<line> <call>' for every call of np.exp, np.log,
+    math.exp or math.log in the file, by the function it sits in
+    ('<module>' outside any)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                visit(child, child.name if owner == "<module>" else f"{owner}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                name = _dotted(child.func)
+                if name in ("np.exp", "np.log", "math.exp", "math.log"):
+                    found.append(f"{owner}:{child.lineno} {name}")
+            visit(child, owner)
+
+    visit(ast.parse(path.read_text()), "<module>")
+    return found
+
+
+def test_one_log_mean_exp_in_pressure():
+    # every sample-set estimate, eta included, goes through one log-mean-exp
+    callers = _exp_log_callers(ROOT / "src" / "orbfree" / "pressure.py")
+    assert callers and [c for c in callers if not c.startswith("_log_mean_exp:")] == []

@@ -61,7 +61,7 @@ class TestConfig:
         with pytest.raises(ValueError):
             GibbsConfig("unitary-orbital", 4, h, microstates=semicircle_microstates(4), sweeps=10, burn_in=10)
         with pytest.raises(ValueError):
-            GibbsConfig("matrix", 4, parse("(0+1i)*x[1,1]", LAYOUT), R=1.0)
+            GibbsConfig("matrix", 4, parse("(0+1i)*x[1,1]", LAYOUT))
         with pytest.raises(ValueError):
             GibbsConfig("unitary-orbital", 4, h)  # missing microstates
 
@@ -75,7 +75,7 @@ class TestConfig:
         # run divided by a thinning of 0 and kept every sweep at -1; a NaN
         # eps failed inside eigh and a NaN beta rejected every proposal
         h = parse("x[1,1]*x[2,1] + x[2,1]*x[1,1]", LAYOUT)
-        ensemble = {"R": 2.0} if kind == "matrix" else {"microstates": semicircle_microstates(4)}
+        ensemble = {} if kind == "matrix" else {"microstates": semicircle_microstates(4)}
         with pytest.raises(ValueError, match=message):
             GibbsConfig(kind, 4, h, **ensemble, **setting)
 
@@ -172,7 +172,7 @@ class TestCarriedEnergy:
     def config(self, request):
         h = parse("0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,1]^2", LAYOUT)
         if request.param == "matrix":
-            return GibbsConfig("matrix", 3, h, R=2.0, sweeps=40, burn_in=10, seed=4)
+            return GibbsConfig("matrix", 3, h, sweeps=40, burn_in=10, seed=4)
         return orbital_config(h, 3, sweeps=40, burn_in=10, seed=4)
 
     def test_each_state_scored_once(self, config, monkeypatch):
@@ -208,7 +208,7 @@ class TestLockstep:
         h = parse("0.4*x[1,1]*x[2,1] + 0.4*x[2,1]*x[1,1] + 0.1*x[1,1]^2", LAYOUT)
         settings = dict(sweeps=70, burn_in=40, thinning=3, seed=6)
         if request.param == "matrix":
-            return GibbsConfig("matrix", 3, h, R=2.0, **settings)
+            return GibbsConfig("matrix", 3, h, **settings)
         return orbital_config(h, 3, **settings)
 
     def test_ladder_chain_equals_lone_run(self, config):
@@ -272,15 +272,18 @@ class TestPlan:
     @pytest.mark.parametrize("N", [1, 2, 3, 8, 64])
     def test_matrix_kind(self, N):
         rng = np.random.default_rng(10 + N)
-        cfg = GibbsConfig("matrix", N, self.h(), R=2.0, beta=1.3)
+        cfg = GibbsConfig("matrix", N, self.h(), beta=1.3)
         states = [MatrixTuple(self.LAYOUT21, N, check_norm=False,
                               sa={slot: gue(N, rng) for slot in ((1, 1), (1, 2), (2, 1))})
                   for _ in range(5)]
         self.check(cfg, states)
 
 
+MIXED = "0.15*x[1,1]*x[2,1] + 0.15*x[2,1]*x[1,1]"
+
+
 def golden_config(name):
-    mixed = parse("0.15*x[1,1]*x[2,1] + 0.15*x[2,1]*x[1,1]", LAYOUT)
+    mixed = parse(MIXED, LAYOUT)
     quartic = parse("0.05*x[1,1]*x[2,1]*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]*x[2,1]*x[1,1]"
                     " + 0.1*x[1,1]^2 + 0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]", LAYOUT)
     atomic = quantile_microstate(SpectralMeasure.from_string("atomic:0.5@-1,0.5@1"), 2)
@@ -290,9 +293,10 @@ def golden_config(name):
                                   sweeps=300, burn_in=60, thinning=2, seed=3),
         "orbital-n3-quartic": orbital_config(quartic, 3, sweeps=120, burn_in=30, seed=5),
         "orbital-n3": orbital_config(mixed.scale(0.2), 3, sweeps=200, burn_in=40, seed=7),
-        "matrix-n3": GibbsConfig("matrix", 3, mixed, R=2.0, sweeps=120, burn_in=30, seed=11),
-        "matrix-n4": GibbsConfig("matrix", 4, mixed.scale(0.05), R=1.5, sweeps=150, burn_in=30,
-                                 seed=13),
+        "matrix-n3": GibbsConfig("matrix", 3, mixed, sweeps=120, burn_in=30, seed=11),
+        # the matrix kind reads its norm cutoff R = 1.5 from the layout
+        "matrix-n4": GibbsConfig("matrix", 4, parse(MIXED, FamilyLayout(2, (1, 1), 1.5)).scale(
+            0.05), sweeps=150, burn_in=30, seed=13),
     }[name]
 
 
@@ -309,7 +313,7 @@ class TestGolden:
         h = parse(f"{c}*x[1,1]*x[2,1] + {c}*x[2,1]*x[1,1]", LAYOUT)
         settings = dict(eps=1.5, sweeps=130, burn_in=120, seed=2)
         cfg = (orbital_config(h, 4, **settings) if kind == "unitary-orbital"
-               else GibbsConfig("matrix", 4, h, R=2.0, **settings))
+               else GibbsConfig("matrix", 4, h, **settings))
         chain = run(cfg)
         assert (repr(chain.eps), chain.accepted, repr(chain.energy)) == want
 
@@ -341,7 +345,7 @@ class TestMeanTracialState:
 
     def test_matrix_kind_uniform(self):
         lay1 = FamilyLayout(n=1, r=(1,), R=1.0)
-        cfg = GibbsConfig("matrix", 1, NCPoly.zero(lay1), R=1.0,
+        cfg = GibbsConfig("matrix", 1, NCPoly.zero(lay1),
                           sweeps=4000, burn_in=200, thinning=4, seed=3, eps=0.8)
         chain = run(cfg)
         vals = np.array([s.sa[(1, 1)][0, 0].real for s in chain.samples])

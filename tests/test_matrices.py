@@ -401,7 +401,7 @@ class TestTraceMemo:
         lay = FamilyLayout(n=2, r=(1, 1), R=2.0)
         h = parse("0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,1]^2", lay)
         if kind == "matrix":
-            cfg = gibbs.GibbsConfig(kind, 3, h, R=2.0, sweeps=6, burn_in=2, thinning=1)
+            cfg = gibbs.GibbsConfig(kind, 3, h, sweeps=6, burn_in=2, thinning=1)
         else:
             xi = quantile_microstate(SpectralMeasure.semicircle(2.0), 3)
             cfg = gibbs.GibbsConfig(kind, 3, h, microstates=MatrixTuple(
@@ -525,7 +525,7 @@ class TestTracePass:
         rng = np.random.default_rng(seed)
         if kind == "matrix":
             words = [w for w in words if all(l[0] in "xz" for l in w)] or [(letter_x(1, 1),)]
-            cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT), R=2.0)
+            cfg = gibbs.GibbsConfig(kind, N, NCPoly.zero(LAYOUT))
             states = [property_tuple(rng.integers(2**32), N, "dense", "none") for _ in range(B)]
         else:
             micro = property_tuple(seed, N, "dense", "none")  # each state brings its V

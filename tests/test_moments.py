@@ -42,6 +42,8 @@ from orbfree.poly import (
 )
 
 LAYOUT2 = FamilyLayout(n=2, r=(1, 1), R=2.0)
+# a cutoff that bounds every moment the free-product property tests draw
+WIDE = FamilyLayout(n=2, r=(1, 1), R=10.0)
 X1 = letter_x(1, 1)
 X2 = letter_x(2, 1)
 
@@ -221,7 +223,7 @@ class TestFreeProduct:
                 seq = [rng.uniform(-0.8, 0.8) for _ in range(6)]
                 # force positive even structure so values stay in bounds
                 seq[1] = abs(seq[1]) + 0.3
-                t = MomentTable(LAYOUT2, "x", 6, 10.0)
+                t = MomentTable(WIDE, "x", 6)
                 x = letter_x(fam, 1)
                 for k, v in enumerate(seq, start=1):
                     t.values[(x,) * k] = complex(v)
@@ -445,7 +447,7 @@ class TestProperties:
                               st.complex_numbers(allow_nan=False, allow_infinity=False)),
                     max_size=8))
     def test_json_round_trip(self, entries):
-        t = MomentTable(LAYOUT2, "x", 7, LAYOUT2.R)
+        t = MomentTable(LAYOUT2, "x", 7)
         for w, v in entries:
             t.set(w, v)
         assert MomentTable.from_json(json.loads(json.dumps(t.to_json()))) == t
@@ -466,7 +468,7 @@ class TestProperties:
         marginals = []
         for fam, seq in enumerate(seqs, start=1):
             x = letter_x(fam, 1)
-            t = MomentTable(LAYOUT2, "x", 6, 10.0)
+            t = MomentTable(WIDE, "x", 6)
             for k, v in enumerate(seq, start=1):
                 t.values[(x,) * k] = complex(v)
             marginals.append(t)

@@ -23,8 +23,8 @@ from orbfree.pressure import (
     _EtaObjective,
     _family_split,
     _sample_pressure,
+    _sample_raws,
     _target_pairing,
-    _trace_table,
     double_pressure,
     eta_estimate,
     finite_N_property_suite,
@@ -225,7 +225,7 @@ class TestSampleConjugations:
             "property-suite": lambda: finite_N_property_suite(mixed_h(), h, semicircle_tuple(4)),
             "double-pressure": lambda: double_pressure(
                 TensorNCPoly.of_pair(h, NCPoly.one(LAYOUT)), [(4, semicircle_tuple(4))], {}),
-            "relation-check": lambda: pressure_relation_check(h, R=2.0, N=4),
+            "relation-check": lambda: pressure_relation_check(h, N=4),
         }[entry]
         with pytest.raises(ValueError, match="x letters only"):
             call()
@@ -275,6 +275,18 @@ class TestEta:
         objs = [v for _, v in est.trace]
         assert objs == sorted(objs, reverse=True)  # strictly decreasing ray
 
+        # two single-family gaps above mismatch_tol: the witness is the one
+        # first in basis order, signed so that the objective falls along it
+        bad.set((X2,), 0.5)  # semicircle m1 is 0
+        est = eta_estimate(bad, tup, basis_degree=2, samples=20, budget=20)
+        x2, x1x1 = NCPoly.x(LAYOUT, 2, 1), NCPoly.monomial(LAYOUT, [X1, X1], 1)
+        first = next(b for b in est.basis if b in (x2, x1x1))
+        assert est.diverged and est.witness == first.scale(-1.0)  # both targets lie above
+        objs = [v for _, v in est.trace]
+        assert objs[0] < 0 and objs == sorted(objs, reverse=True)
+        drop = _target_pairing(bad, est.witness) - trace_evaluate(est.witness, tup).real
+        assert objs == [a * drop for a in (1.0, 2.0, 4.0, 8.0)]
+
 
 class TestEtaNewton:
     """The split of the eta objective and the Newton program on its mixed
@@ -297,7 +309,7 @@ class TestEtaNewton:
         for ck, b in zip(c, basis):
             h = h + b.scale(float(ck))
         full = _target_pairing(target, h) + _sample_pressure(
-            h, _trace_table(h.terms, self.draw(tup, 40, 9)), N)[0]
+            _sample_raws([h], self.draw(tup, 40, 9))[0], N)[0]
         single = [_family_split(b) for b in basis]
         marg = empirical_state(tup, 3)
         linear = sum(ck * (_target_pairing(target, b) - _target_pairing(marg, b))
@@ -340,9 +352,10 @@ class TestEtaNewton:
         target, tup = self.target(), semicircle_tuple(8)
         est = eta_estimate(target, tup, basis_degree=3, samples=samples, budget=20, seed=5)
         assert est.diverged and est.value == -math.inf and not est.converged
-        table = _trace_table(est.witness.terms, self.draw(tup, samples, 5))
-        values = [_target_pairing(target, est.witness.scale(a))
-                  + _sample_pressure(est.witness.scale(a), table, 8)[0] for a in (1, 2, 3)]
+        rays = [est.witness.scale(a) for a in (1, 2, 3)]
+        raws = _sample_raws(rays, self.draw(tup, samples, 5))
+        values = [_target_pairing(target, h) + _sample_pressure(r, 8)[0]
+                  for h, r in zip(rays, raws)]
         assert values[0] < 0
         assert values[1] - values[0] == pytest.approx(values[0], rel=1e-9)
         assert values[2] - values[1] == pytest.approx(values[0], rel=1e-9)
@@ -388,7 +401,7 @@ class TestPenaltyPoly:
 
     def test_centered_single_variable(self):
         lay = self.one_var_layout()
-        target = MomentTable(lay, "x", 1, 2.0)
+        target = MomentTable(lay, "x", 1)
         target.set((letter_x(1, 1),), 0.0)
         p = penalty_poly(target, 1, 1.0, 1.0)
         x = NCPoly.x(lay, 1, 1)
@@ -418,15 +431,18 @@ class TestPenaltyPoly:
 
 class TestRelationCheck:
     def test_h_zero(self):
-        report = pressure_relation_check(NCPoly.zero(LAYOUT), R=2.0, N=4,
-                                         gibbs_settings={"sweeps": 200, "burn_in": 50})
+        # the orbital side of h = 0 is exact, even on a single sample
+        report = pressure_relation_check(NCPoly.zero(LAYOUT), N=4,
+                                         gibbs_settings={"sweeps": 200, "burn_in": 50,
+                                                         "samples": 1})
         assert report["margin"] == pytest.approx(0.0, abs=1e-12)
+        assert report["stderr"] == 0.0
         assert not report["significant_violation"]
 
     def test_quadratic_light(self):
         h = parse("0.25*x[1,1]^2 + 0.25*x[2,1]^2", LAYOUT)
         report = pressure_relation_check(
-            h, R=2.0, N=6,
+            h, N=6,
             gibbs_settings={"sweeps": 400, "burn_in": 100, "samples": 100},
             seed=4,
         )
