@@ -97,8 +97,7 @@ SPEC_VALUES = {
 # the "gibbs" and "sd" objects are closed: an unknown key is an error
 GIBBS_VALUES = {
     "kind": (lambda v: v in ("unitary-orbital", "matrix"), "'unitary-orbital' or 'matrix'"),
-    "method": (lambda v: v in ("sample", "thermodynamic", "direct"),
-               "'sample', 'thermodynamic' or 'direct'"),
+    "method": (lambda v: v in ("sample", "thermodynamic"), "'sample' or 'thermodynamic'"),
     "samples": _POSITIVE_INT,
     "budget": _POSITIVE_INT,
     "beta": _NUMBER,
@@ -127,6 +126,9 @@ COMMAND_DEFAULTS = {
     "property-suite": {"Ns": [2, 8]},
     "relation-check": {"Ns": [8]},
 }
+# the most bytes of N x N matrices a command may hold: a run beyond it
+# would fail on memory, so the spec is rejected before any computation
+MAX_HELD_BYTES = 4 << 30
 # commands that run at one N of the spec's Ns
 ONE_N = {"eta": max, "freeness": max, "gibbs": lambda Ns: Ns[0]}
 # commands that build microstates of the families at each of their Ns
@@ -229,7 +231,8 @@ def resolve(spec: dict, base: Path, command: str) -> Resolved:
     grammar, layout bounds and self-adjointness of h (naming the offending
     word), each family's realizability within R or its matrix file and
     that file's N against the sizes the command builds, the length of
-    every chain the command runs, and the SD problem.  Raises
+    every chain the command runs, the bytes of the matrices it would hold
+    (MAX_HELD_BYTES), and the SD problem.  Raises
     ValidationError on anything the command would reject; reads each
     family file once and computes nothing.
     """
@@ -251,9 +254,11 @@ def resolve(spec: dict, base: Path, command: str) -> Resolved:
             defaults = pressure_mod.RELATION_CHAIN_DEFAULTS
         else:
             defaults = {"sweeps": gibbs_mod.GibbsConfig.sweeps,
-                        "burn_in": gibbs_mod.GibbsConfig.burn_in}
+                        "burn_in": gibbs_mod.GibbsConfig.burn_in,
+                        "thinning": gibbs_mod.GibbsConfig.thinning}
         sweeps = g.get("sweeps", defaults["sweeps"])
         burn_in = g.get("burn_in", defaults["burn_in"])
+        thinning = g.get("thinning", defaults["thinning"])
         if not sweeps > burn_in >= 0:
             raise ValidationError(
                 f"gibbs needs integers sweeps > burn_in >= 0, got sweeps={sweeps!r}, "
@@ -266,6 +271,20 @@ def resolve(spec: dict, base: Path, command: str) -> Resolved:
         command == "gibbs" and g.get("kind", "unitary-orbital") == "matrix")
 
     layout = FamilyLayout(n=len(families), r=(1,) * len(families), R=float(spec.get("R", 2.0)))
+    # one complex N x N matrix per slot at each size, and the chain states
+    # that gibbs and relation-check retain at their largest size
+    entry_bytes = 16 * sum(layout.r)  # one complex entry in every slot
+    held = entry_bytes * sum(N * N for N in values.get("Ns", []))
+    if held > MAX_HELD_BYTES:
+        raise ValidationError(f"'Ns' = {values['Ns']!r} needs {held / 2**30:.3g} GiB of "
+                              f"matrices, above the {MAX_HELD_BYTES / 2**30:g} GiB bound")
+    if command in ("gibbs", "relation-check"):
+        kept = -(-(sweeps - burn_in) // thinning)
+        held = kept * entry_bytes * max(values["Ns"]) ** 2
+        if held > MAX_HELD_BYTES:
+            raise ValidationError(f"'sweeps' = {sweeps!r} retains {kept} chain states, "
+                                  f"{held / 2**30:.3g} GiB, above the "
+                                  f"{MAX_HELD_BYTES / 2**30:g} GiB bound")
     h = parse_h(spec, layout)
     if not h.is_selfadjoint():
         adj = h.adjoint()
@@ -356,7 +375,7 @@ def _jsonable(obj):
     if isinstance(obj, NCPoly):
         return format_poly(obj)
     if isinstance(obj, MomentTable):
-        return obj.to_json()
+        return MomentTable.to_json(obj)
     return obj
 
 
@@ -401,8 +420,9 @@ def cmd_eta(r: Resolved, seed: int):
     (N,) = r.Ns
     est = pressure_mod.eta_estimate(
         _free_product_of(r.layout, r.families, max(3, r.basis_degree)), r.microstates(N),
-        basis_degree=r.basis_degree, samples=r.gibbs.get("samples", 200),
-        budget=r.gibbs.get("budget", 200), seed=seed,
+        basis_degree=r.basis_degree,
+        samples=r.gibbs.get("samples", pressure_mod.DEFAULT_SAMPLES),
+        budget=r.gibbs.get("budget", pressure_mod.ETA_BUDGET), seed=seed,
     )
     report = {
         "command": "eta",

@@ -145,21 +145,6 @@ class MomentTable:
         }
         return data
 
-    @staticmethod
-    def from_json(data: dict) -> "MomentTable":
-        from .poly import parse
-
-        meta = data["metadata"]
-        layout = FamilyLayout(n=meta["layout"]["n"], r=tuple(meta["layout"]["r"]), R=meta["R"])
-        out = MomentTable(layout, meta["alphabet"], meta["m"])
-        for key, (re, im) in ((k, v) for k, v in data.items() if k != "metadata"):
-            if key == "1":
-                continue
-            p = parse(key, layout)
-            ((w, _),) = p.terms.items()
-            out.set(w, complex(re, im))
-        return out
-
 
 def _enumerate_words(letters: Sequence[Letter], m: int):
     for length in range(m + 1):

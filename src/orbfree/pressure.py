@@ -1,13 +1,12 @@
-"""Finite-N estimators of the orbital free pressure, the exact
-finite-sample property suite, the Legendre-transform entropy estimator,
-the double (tensor) pressure, and the penalty polynomial, plus the
+"""Finite-N estimators of the orbital free pressure, of single- and
+double-trace energies, the exact finite-sample property suite, the
+Legendre-transform entropy estimator and the penalty polynomial, plus the
 pressure relation between the matrix and orbital ensembles."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import partial
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "pressure_estimate",
     "finite_N_property_suite",
     "eta_estimate",
-    "double_pressure",
     "penalty_poly",
     "pressure_relation_check",
     "selfadjoint_word_basis",
@@ -170,15 +168,6 @@ def _sample_pressure(raws: np.ndarray, N: int) -> tuple[float, float]:
     return lme / N**2, se / N**2
 
 
-def _sample_row(p, N: int, xi, draw, chain) -> tuple[float, float]:
-    """A _per_N_estimate row from the sample set draw(): log Z at N and its
-    standard error, N^2 times _sample_pressure.  x letters evaluate as
-    V Xi V* on the families whose samples carry a unitary, and as Xi on
-    family 1."""
-    v, se = _sample_pressure(_sample_raws([p], draw())[0], N)
-    return N**2 * v, N**2 * se
-
-
 def _family_split(h: NCPoly) -> bool:
     """True when every word of h stays inside one family, so the orbital
     integrand is constant by trace conjugation invariance."""
@@ -193,13 +182,12 @@ def _family_split(h: NCPoly) -> bool:
 # pressure estimate
 
 
-# the largest energy spread the direct estimator accepts: beyond it the
-# exponential average is dominated by a few states
-DIRECT_SPREAD_LIMIT = 4.0
+# the Haar conjugations a sample-set estimate draws where the caller gives none
+DEFAULT_SAMPLES = 200
 
 
 def pressure_estimate(
-    h: NCPoly,
+    h: NCPoly | TensorNCPoly,
     microstates_per_N: Sequence[tuple[int, MatrixTuple]],
     gibbs_settings: dict | None = None,
     method: str = "sample",
@@ -207,58 +195,39 @@ def pressure_estimate(
     """Per-N normalized orbital log-partition values with an affine
     extrapolation in 1/N.
 
-    methods: "sample" (log-mean-exp over Haar conjugations), "direct"
-    (log-mean-exp over the retained states of the beta = 0 chain), or
-    "thermodynamic" (gibbs.log_partition).  Family-split h is evaluated
-    exactly in closed form at each N.
+    At each (N, xi) a zero h gives 0, and a family-split NCPoly h is
+    evaluated exactly in closed form.  Otherwise method "sample" takes the
+    log-mean-exp over the settings' "samples" Haar conjugations of xi,
+    drawn from default_rng(seed + N), and "thermodynamic" runs
+    gibbs.log_partition with the other settings, seeded seed + N.  A
+    TensorNCPoly h, the double-trace energy, takes the sample method only.
     """
-    if method not in ("sample", "direct", "thermodynamic"):
+    if method not in ("sample", "thermodynamic"):
         raise ValueError(f"unknown method {method!r}")
+    tensor = isinstance(h, TensorNCPoly)
+    if tensor and method != "sample":
+        raise ValueError(f"a tensor h takes the sample method only, got {method!r}")
     _require_x_letters(h)
-
-    def row(N, xi, draw, chain):
-        if h.is_zero:
-            return 0.0, 0.0
-        if _family_split(h):
-            return N**2 * -_Scorer(h)(xi)[0].item(), 0.0
-        if method == "sample":
-            return _sample_row(h, N, xi, draw, chain)
-        cfg = gibbs.GibbsConfig("unitary-orbital", N, h, microstates=xi, **chain)
-        return (_direct if method == "direct" else gibbs.log_partition)(cfg)
-
-    return _per_N_estimate(h, microstates_per_N, gibbs_settings, row)
-
-
-def _per_N_estimate(h, microstates_per_N, gibbs_settings, row) -> PressureEstimate:
-    """The per-N loop of pressure_estimate and double_pressure.  At each
-    (N, xi), row(N, xi, draw, chain) gives (logZ, stderr): draw() is the
-    sample set at N, the settings' "samples" Haar conjugations of xi from
-    default_rng(seed + N), and chain is the other settings, seeded
-    seed + N.  logZ / N^2 is then fitted affinely in 1/N."""
     settings = dict(gibbs_settings or {})
     seed = settings.pop("seed", 0)
-    M = settings.pop("samples", 200)
+    M = settings.pop("samples", DEFAULT_SAMPLES)
     rows = []
     for N, xi in microstates_per_N:
-        draw = partial(sample_conjugations, xi, M, np.random.default_rng(seed + N))
-        rows.append((N, *row(N, xi, draw, {**settings, "seed": seed + N})))
+        if h.is_zero:
+            logz, se = 0.0, 0.0
+        elif not tensor and _family_split(h):
+            logz, se = N**2 * -_Scorer(h)(xi)[0].item(), 0.0
+        elif method == "sample":
+            raws = _sample_raws([h], sample_conjugations(xi, M, np.random.default_rng(seed + N)))
+            v, se = _sample_pressure(raws[0], N)
+            logz, se = N**2 * v, N**2 * se
+        else:
+            logz, se = gibbs.log_partition(gibbs.GibbsConfig(
+                "unitary-orbital", N, h, microstates=xi, **settings, seed=seed + N))
+        rows.append((N, logz, se))
     normalized = [logz / N**2 for N, logz, _ in rows]
     extrapolated, r2 = _affine_fit([1.0 / N for N, _, _ in rows], normalized)
     return PressureEstimate(h, rows, normalized, extrapolated, r2)
-
-
-def _direct(cfg: gibbs.GibbsConfig) -> tuple[float, float]:
-    """log E_0[exp(-N^2 Re tr_N h)] over the retained states of the beta = 0
-    chain; refuses when the spread of the energies exceeds
-    DIRECT_SPREAD_LIMIT."""
-    e = -(cfg.N**2) * np.asarray(gibbs.run(replace(cfg, beta=0.0)).sample_raws)
-    spread = e.max() - e.min()
-    if spread > DIRECT_SPREAD_LIMIT:
-        raise RuntimeError(
-            f"direct estimator refused: energy spread {spread:.3g} exceeds "
-            f"threshold {DIRECT_SPREAD_LIMIT}"
-        )
-    return _log_mean_exp(e)[:2]
 
 
 def _affine_fit(xs, ys):
@@ -394,14 +363,16 @@ ETA_GRADIENT_TOL = 1e-10
 _NULL_RTOL = 1e-12
 # the Armijo sufficient-decrease fraction of the line search
 _ARMIJO = 1e-4
+# the objective evaluations eta_estimate spends where the caller gives none
+ETA_BUDGET = 200
 
 
 def eta_estimate(
     target: MomentTable,
     microstates: MatrixTuple,
     basis_degree: int = 2,
-    samples: int = 200,
-    budget: int = 200,
+    samples: int = DEFAULT_SAMPLES,
+    budget: int = ETA_BUDGET,
     seed: int = 0,
     mismatch_tol: float = 0.05,
 ) -> EtaEstimate:
@@ -492,19 +463,7 @@ def eta_estimate(
 
 
 # ---------------------------------------------------------------------------
-# double pressure and the penalty polynomial
-
-
-def double_pressure(
-    h2: TensorNCPoly,
-    microstates_per_N: Sequence[tuple[int, MatrixTuple]],
-    gibbs_settings: dict,
-) -> PressureEstimate:
-    """Pressure of the tensor (double-trace) energy, by the same shared
-    log-mean-exp pipeline as pressure_estimate's sample method."""
-    _require_x_letters(h2)
-
-    return _per_N_estimate(h2, microstates_per_N, gibbs_settings, partial(_sample_row, h2))
+# the penalty polynomial
 
 
 def penalty_poly(target: MomentTable, m: int, beta: float, delta: float) -> TensorNCPoly:
@@ -546,7 +505,7 @@ def pressure_relation_check(
     the reported margin is matrix_rel_logZ - orbital_pressure.
     """
     settings = {**RELATION_CHAIN_DEFAULTS, **(gibbs_settings or {})}
-    samples = settings.pop("samples", 200)
+    samples = settings.pop("samples", DEFAULT_SAMPLES)
     layout = h.layout
     if any(r != 1 for r in layout.r):
         raise ValueError("relation check requires single-variable families")

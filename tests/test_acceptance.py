@@ -301,7 +301,7 @@ def test_criterion_10_penalty_trend():
         xi = semicircle_tuple(N)
         target = empirical_free_target(xi, m)
         p = pressure_mod.penalty_poly(target, m, beta, delta)
-        est = pressure_mod.double_pressure(p, [(N, xi)], {"seed": N, "samples": 150})
+        est = pressure_mod.pressure_estimate(p, [(N, xi)], {"seed": N, "samples": 150})
         vals.append(est.normalized[0])
         ses.append(est.per_N[0][2] / N**2)
     bounded = all(v >= -beta - s - 1e-9 for v, s in zip(vals, ses))

@@ -1,8 +1,10 @@
 import contextlib
+import importlib
 import io
 import json
 import math
 import pathlib
+import sys
 import tempfile
 from pathlib import Path
 
@@ -13,9 +15,8 @@ from hypothesis import strategies as st
 
 from orbfree import sdsolver
 from orbfree.cli import COMMANDS, main
-from orbfree.matrices import MatrixTuple, SpectralMeasure, quantile_microstate
-from orbfree.poly import FamilyLayout, parse
-from orbfree.pressure import pressure_estimate
+from orbfree.matrices import MatrixTuple
+from orbfree.poly import FamilyLayout
 
 BASE_SPEC = {
     "h": "0.05*x[1,1]*x[2,1] + 0.05*x[2,1]*x[1,1]",
@@ -167,6 +168,9 @@ class TestVerify:
         # "--out" here is the flag, not a spec key: a directory below a regular file
         ("pressure", {"--out": "fam.json/out"}, "a regular file",
          ["output directory", "fam.json/out", "Not a directory"]),
+        # the pressure methods are 'sample' and 'thermodynamic' only
+        ("pressure", {"gibbs": {**BASE_SPEC["gibbs"], "method": "direct"}}, None,
+         ["'method'", "'gibbs'"]),
     ])
     @pytest.mark.parametrize("flags", [(), ("--verify",)])
     def test_bad_inputs_exit_2(self, tmp_path, capsys, command, spec, family_file, names,
@@ -361,30 +365,6 @@ class TestOneFamily:
         assert {name: (out / name).read_text() for name in case["files"]} == case["files"]
 
 
-class TestDirect:
-    def test_direct_matches_library(self, tmp_path):
-        spec = write_spec(tmp_path, gibbs={**BASE_SPEC["gibbs"], "method": "direct"})
-        code, out = run(tmp_path, "pressure", spec)
-        assert code == 0
-        layout = FamilyLayout(2, (1, 1), 2.0)
-        xi = {N: quantile_microstate(SpectralMeasure.semicircle(2.0), N) for N in BASE_SPEC["Ns"]}
-        est = pressure_estimate(parse(BASE_SPEC["h"], layout),
-                                [(N, MatrixTuple(layout, N, sa={(1, 1): x, (2, 1): x}))
-                                 for N, x in xi.items()],
-                                {**BASE_SPEC["gibbs"], "seed": BASE_SPEC["seed"]}, method="direct")
-        report = json.loads((out / "report.json").read_text())
-        assert report["per_N"] == [{"N": N, "logZ": z, "stderr": s} for N, z, s in est.per_N]
-
-    def test_large_spread_exits_3(self, tmp_path, capsys):
-        spec = write_spec(tmp_path, h="2*x[1,1]*x[2,1] + 2*x[2,1]*x[1,1]", Ns=[8],
-                          gibbs={"sweeps": 100, "burn_in": 20, "method": "direct"})
-        code, _ = run(tmp_path, "pressure", spec)
-        err = capsys.readouterr().err
-        assert code == 3
-        assert "numeric failure: direct estimator refused" in err
-        assert "Traceback" not in err
-
-
 class TestReproducibility:
     def test_byte_identical_reports(self, tmp_path):
         spec = write_spec(tmp_path)
@@ -478,6 +458,44 @@ class TestResolution:
         code, _ = run(tmp_path, "pressure", write_spec(tmp_path), "out", "--seed", "-10", *flags)
         assert code == 2
         assert capsys.readouterr().err.startswith("validation error: the seed")
+
+    @pytest.mark.parametrize("command, spec, key", [
+        ("pressure", {"Ns": [100000]}, "'Ns'"),
+        ("property-suite", {"Ns": [2, 100000]}, "'Ns'"),
+        ("eta", {"Ns": [100000]}, "'Ns'"),
+        ("gibbs", {"Ns": [64], "gibbs": {"sweeps": 10**8}}, "'sweeps'"),
+        ("gibbs", {"Ns": [64], "gibbs": {"kind": "matrix", "sweeps": 10**8, "thinning": 1}},
+         "'sweeps'"),
+        ("relation-check", {"Ns": [8, 64], "gibbs": {"sweeps": 10**8}}, "'sweeps'"),
+    ])
+    def test_oversized_spec_exits_2(self, tmp_path, capsys, command, spec, key):
+        # under --verify only: a run that passed this check would try to
+        # allocate what the spec asks for
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, **spec}))
+        code, _ = run(tmp_path, command, p, "out", "--verify")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:") and key in err and "GiB bound" in err
+
+    @pytest.mark.parametrize("N, code", [(16384, 0), (16385, 2)])
+    def test_size_bound_is_inclusive(self, tmp_path, N, code):
+        # one family at N = 2^14 holds 16 N^2 = 4 GiB, the bound itself
+        spec = write_spec(tmp_path, families=["semicircle:2"], h="0.1*x[1,1]", Ns=[N])
+        assert run(tmp_path, "pressure", spec, "out", "--verify")[0] == code
+
+    def test_every_benchmark_spec_verifies(self, tmp_path, monkeypatch):
+        # the size bounds and every other check pass the benchmark's specs;
+        # no bytecode is written into perfbench/
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        workloads = importlib.import_module("workloads")
+        for name in workloads.WORKLOADS:
+            for step, seed in workloads.steps(name, 0):
+                if step.command == "chi":  # a library call, not a CLI command
+                    continue
+                spec = workloads.write_spec(step, seed, tmp_path)
+                assert run(tmp_path, step.command, spec, step.name, "--verify")[0] == 0, step.name
 
     def test_each_family_file_read_once(self, tmp_path, monkeypatch):
         for k in (1, 2):

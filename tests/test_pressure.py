@@ -25,7 +25,6 @@ from orbfree.pressure import (
     _sample_pressure,
     _sample_raws,
     _target_pairing,
-    double_pressure,
     eta_estimate,
     finite_N_property_suite,
     penalty_poly,
@@ -74,21 +73,6 @@ class TestPressureEstimate:
                                         (2, 1): np.array([[b]], dtype=complex)})
         est = pressure_estimate(mixed_h(t), [(1, xi)], {"samples": 10})
         assert est.normalized[0] == pytest.approx(-t * a * b, abs=1e-12)
-
-    def test_direct_scalar_exact(self):
-        # at N = 1 every state of the beta = 0 chain has energy t a b
-        a, b, t = 0.9, -0.6, 0.8
-        xi = MatrixTuple(LAYOUT, 1, sa={(1, 1): np.array([[a]], dtype=complex),
-                                        (2, 1): np.array([[b]], dtype=complex)})
-        est = pressure_estimate(mixed_h(t), [(1, xi)], {"sweeps": 60, "burn_in": 10},
-                                method="direct")
-        assert est.normalized[0] == pytest.approx(-t * a * b, abs=1e-10)
-
-    def test_direct_refuses_large_spread(self):
-        h = parse("2*x[1,1]*x[2,1] + 2*x[2,1]*x[1,1]", LAYOUT)
-        with pytest.raises(RuntimeError, match="direct estimator refused: energy spread"):
-            pressure_estimate(h, [(8, semicircle_tuple(8))],
-                              {"seed": 1, "sweeps": 100, "burn_in": 20}, method="direct")
 
     @pytest.mark.parametrize("h", [NCPoly.zero(LAYOUT), parse("x[1,1]^2", LAYOUT), mixed_h()],
                              ids=["zero", "family-split", "mixed"])
@@ -223,8 +207,8 @@ class TestSampleConjugations:
         call = {
             "pressure": lambda: pressure_estimate(h, [(4, semicircle_tuple(4))]),
             "property-suite": lambda: finite_N_property_suite(mixed_h(), h, semicircle_tuple(4)),
-            "double-pressure": lambda: double_pressure(
-                TensorNCPoly.of_pair(h, NCPoly.one(LAYOUT)), [(4, semicircle_tuple(4))], {}),
+            "double-pressure": lambda: pressure_estimate(
+                TensorNCPoly.of_pair(h, NCPoly.one(LAYOUT)), [(4, semicircle_tuple(4))]),
             "relation-check": lambda: pressure_relation_check(h, N=4),
         }[entry]
         with pytest.raises(ValueError, match="x letters only"):
@@ -366,15 +350,26 @@ class TestDoublePressure:
         one = NCPoly.one(LAYOUT)
         h2 = TensorNCPoly.of_pair(one, one)
         per_N = [(N, semicircle_tuple(N)) for N in (2, 4)]
-        est = double_pressure(h2, per_N, {"samples": 20})
+        est = pressure_estimate(h2, per_N, {"samples": 20})
         for v in est.normalized:
             assert v == pytest.approx(-1.0, abs=1e-12)
+
+    def test_tensor_takes_the_sample_method_only(self, monkeypatch):
+        # rejected before any draw or chain
+        def no_draw(*_):
+            raise AssertionError("drew before rejecting")
+
+        monkeypatch.setattr("orbfree.pressure.haar_unitary", no_draw)
+        monkeypatch.setattr("orbfree.gibbs.log_partition", no_draw)
+        h2 = TensorNCPoly.of_pair(mixed_h(), NCPoly.one(LAYOUT))
+        with pytest.raises(ValueError, match="sample method only, got 'thermodynamic'"):
+            pressure_estimate(h2, [(4, semicircle_tuple(4))], method="thermodynamic")
 
     def test_h_tensor_one_matches_pressure(self):
         h = mixed_h(0.25)
         h2 = TensorNCPoly.of_pair(h, NCPoly.one(LAYOUT))
         per_N = [(4, semicircle_tuple(4))]
-        a = double_pressure(h2, per_N, {"seed": 9, "samples": 40})
+        a = pressure_estimate(h2, per_N, {"seed": 9, "samples": 40})
         b = pressure_estimate(h, per_N, {"seed": 9, "samples": 40})
         assert a.normalized[0] == pytest.approx(b.normalized[0], abs=1e-12)
 
@@ -388,7 +383,7 @@ class TestDoublePressure:
             target = free_product(
                 [table_from_measure(LAYOUT, i, 1, emp, m) for i in (1, 2)], m)
             p = penalty_poly(target, m, beta, delta)
-            est = double_pressure(p, [(N, xi)], {"seed": N, "samples": 80})
+            est = pressure_estimate(p, [(N, xi)], {"seed": N, "samples": 80})
             se = est.per_N[0][2] / N**2
             assert est.normalized[0] >= -beta - se - 1e-9
             vals.append(est.normalized[0])
@@ -479,14 +474,6 @@ class TestGolden:
         self.exact(est.normalized, [0.005373094242410947, -0.02594106468177039])
         self.exact(est.extrapolated, -0.08856938253013305)
 
-    def test_direct(self):
-        # recorded through gibbs.log_partition(method="direct") before the
-        # direct estimator moved here; its chain is seeded seed + N = 7
-        h = parse("0.15*x[1,1]*x[2,1] + 0.15*x[2,1]*x[1,1]", LAYOUT).scale(0.2)
-        est = pressure_estimate(h, [(3, semicircle_tuple(3))],
-                                {"seed": 4, "sweeps": 200, "burn_in": 40}, method="direct")
-        self.exact(est.per_N, [(3, 0.027980360111080294, 0.028653338848208216)])
-
     def test_property_suite(self):
         rep = finite_N_property_suite(parse(self.H, LAYOUT), parse(self.H2, LAYOUT),
                                       semicircle_tuple(4), M=12, seed=5)
@@ -516,7 +503,7 @@ class TestGolden:
     def test_double_pressure(self):
         pen = penalty_poly(self.target(), 2, 0.05, 1.0)
         per_N = [(4, semicircle_tuple(4)), (6, semicircle_tuple(6))]
-        est = double_pressure(pen, per_N, {"seed": 1, "samples": 15})
+        est = pressure_estimate(pen, per_N, {"seed": 1, "samples": 15})
         self.exact(est.per_N, [(4, -0.123975108423016, 0.02688367511217456),
                                (6, -0.09482643336339555, 0.02266241746766111)])
         self.exact(est.normalized, [-0.0077484442764385, -0.002634067593427654])
