@@ -224,6 +224,20 @@ class Resolved:
         return MatrixTuple(self.layout, N, sa=sa)
 
 
+def _mixed_words_at_least(n: int, degree: int) -> int:
+    """A lower bound on the mixed words of eta's basis, up to degree, over n
+    one-variable families: n^L - n words of length L read two families, and
+    one basis word stands for at most 2L of them (its rotations, each also
+    reversed).  Counting stops once the bound passes what MAX_HELD_BYTES
+    admits."""
+    total = 0
+    for L in range(2, degree + 1 if n > 1 else 2):
+        total += -(-(n**L - n) // (2 * L))
+        if 8 * total > MAX_HELD_BYTES:
+            break
+    return total
+
+
 def resolve(spec: dict, base: Path, command: str) -> Resolved:
     """Check a spec for a command and load what the command reads.
 
@@ -231,8 +245,8 @@ def resolve(spec: dict, base: Path, command: str) -> Resolved:
     grammar, layout bounds and self-adjointness of h (naming the offending
     word), each family's realizability within R or its matrix file and
     that file's N against the sizes the command builds, the length of
-    every chain the command runs, the bytes of the matrices it would hold
-    (MAX_HELD_BYTES), and the SD problem.  Raises
+    every chain the command runs, the bytes of the matrices and sample
+    values it would hold (MAX_HELD_BYTES), and the SD problem.  Raises
     ValidationError on anything the command would reject; reads each
     family file once and computes nothing.
     """
@@ -285,6 +299,25 @@ def resolve(spec: dict, base: Path, command: str) -> Resolved:
             raise ValidationError(f"'sweeps' = {sweeps!r} retains {kept} chain states, "
                                   f"{held / 2**30:.3g} GiB, above the "
                                   f"{MAX_HELD_BYTES / 2**30:g} GiB bound")
+    # the sample values a command holds at once, 8 bytes each: freeness's
+    # distance list; the raw vector of a sampled pressure and of
+    # relation-check, and one of the property suite's six; eta's F, one
+    # vector per mixed basis word
+    if command == "freeness":
+        key, count, rows = "conjugations", values["conjugations"], 1
+    else:
+        key, count = "samples", g.get("samples", pressure_mod.DEFAULT_SAMPLES)
+        if command == "eta":
+            rows = _mixed_words_at_least(layout.n, values["basis_degree"])
+        else:
+            rows = int(command in ("relation-check", "property-suite") or (
+                command == "pressure" and g.get("method", "sample") == "sample"))
+    held = 8 * count * rows
+    if held > MAX_HELD_BYTES:
+        at = f" at 'basis_degree' = {values['basis_degree']!r}" if command == "eta" else ""
+        raise ValidationError(f"{key!r} = {count!r}{at} holds at least "
+                              f"{held / 2**30:.3g} GiB of sample values, above the "
+                              f"{MAX_HELD_BYTES / 2**30:g} GiB bound")
     h = parse_h(spec, layout)
     if not h.is_selfadjoint():
         adj = h.adjoint()

@@ -7,9 +7,13 @@ Every chain runs through one sweep kernel over stacked (B, N, N) arrays: a
 lone ``run`` is a batch of one, and ``log_partition`` advances its whole
 beta ladder in lockstep.  An orbital state is the microstate tuple carrying
 the chain's unitaries, ``microstates.with_unitaries(V)``, and h is evaluated
-on it.  The energy comes from ``matrices._Scorer``, compiled once from h:
-the one scorer of a polynomial, on a lone state and on a stacked batch
-alike, which pressure's shared sample sets go through too.
+on it.  The kernel carries each x letter X_ij = V_i Xi_ij V_i* with the
+unitaries, and a proposal conjugates only the moved family's slots
+(``matrices._conjugate``: a real diagonal Xi_ij by a column scaling and
+one matmul, diagonality decided once per config).  The
+energy comes from ``matrices._Scorer``, compiled once from h: the one
+scorer of a polynomial, on a lone state and on a stacked batch alike,
+which pressure's shared sample sets go through too.
 
 Also provides mean tracial states and the thermodynamic-integration
 log-partition estimator.  Every log-mean-exp estimate lives in
@@ -25,9 +29,18 @@ from typing import Sequence
 
 import numpy as np
 
-from .matrices import MatrixTuple, _Scorer, _Stack, gue, haar_unitary, spectral_reflect
+from .matrices import (
+    MatrixTuple,
+    _conjugate,
+    _real_diagonal,
+    _Scorer,
+    _Stack,
+    gue,
+    haar_unitary,
+    spectral_reflect,
+)
 from .moments import MomentTable, empirical_state
-from .poly import NCPoly
+from .poly import NCPoly, letter_x
 
 __all__ = [
     "GibbsConfig",
@@ -86,6 +99,12 @@ class GibbsConfig:
     def _scorer(self) -> _Scorer:
         return _Scorer(self.h)
 
+    @cached_property
+    def _diagonals(self) -> dict:
+        """Per orbital microstate slot, its real diagonal or None
+        (``matrices._real_diagonal``), decided once."""
+        return {slot: _real_diagonal(a) for slot, a in self.microstates.sa.items()}
+
 
 @dataclass
 class GibbsChain:
@@ -128,22 +147,34 @@ def _slots(config: GibbsConfig) -> list:
 
 
 def _stack(states: Sequence[MatrixTuple], config: GibbsConfig) -> dict:
-    """The matrices the chains move, the orbital kind's unitaries or the
-    matrix kind's self-adjoint slots, as one (B, N, N) array per update
-    slot."""
-    orbital = config.kind == "unitary-orbital"
-    return {slot: np.stack([(s.unitaries if orbital else s.sa)[slot] for s in states])
-            for slot in _slots(config)}
+    """The matrices the chains carry, as one (B, N, N) array per key: the
+    matrix kind's self-adjoint slots (i, j); the orbital kind's unitaries,
+    keyed by family, and the x letters they conjugate (``_conjugates``)."""
+    if config.kind == "matrix":
+        return {slot: np.stack([s.sa[slot] for s in states]) for slot in _slots(config)}
+    vs = {i: np.stack([s.unitaries[i] for s in states]) for i in _slots(config)}
+    return {**vs, **_conjugates(vs, config)}
+
+
+def _conjugates(vs: dict, config: GibbsConfig) -> dict:
+    """V_i Xi_ij V_i* for every microstate slot of each family i in vs
+    {i: V_i}, keyed by its letter x[i, j]."""
+    return {letter_x(i, j): _conjugate(vs[i], a, config._diagonals[(i, j)])
+            for (i, j), a in config.microstates.sa.items() if i in vs}
 
 
 def _batch(stack: dict, config: GibbsConfig) -> _Stack:
     """B states of one ensemble as one ``_Stack`` whose update slots hold
     the stacked (B, N, N) arrays: the form in which the sweep kernel hands
     a batch to ``energy``.  An orbital batch is the microstate tuple
-    carrying the stacked unitaries, as a lone state carries its own."""
+    carrying the stacked unitaries, as a lone state carries its own, with
+    the carried x letters, which its lookup reads in place of V Xi V*."""
     size = len(next(iter(stack.values())))
     if config.kind == "unitary-orbital":
-        return _Stack.of_slots(config.layout, config.N, config.microstates.sa, stack, size)
+        # the letters are the stack's letter-keyed entries; a family key
+        # is never looked up as a letter
+        vs = {i: stack[i] for i in range(1, config.layout.n + 1)}
+        return _Stack.of_slots(config.layout, config.N, config.microstates.sa, vs, size, stack)
     return _Stack.of_slots(config.layout, config.N, stack, {}, size)
 
 
@@ -194,10 +225,11 @@ def _start(config: GibbsConfig) -> GibbsChain:
 def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> dict:
     """One Metropolis sweep over all update slots of every chain in
     lockstep; returns the new stack.  Orbital kind: slot i rotates unitary
-    i by exp(i eps H), H drawn from the GUE.  Matrix kind: slot (i, j)
-    moves by eps times a GUE draw, its spectrum reflected back into
-    [-R, R].  Each chain draws from its own generator in the order a lone
-    chain would, its accept uniform only when the energy rises."""
+    i by exp(i eps H), H drawn from the GUE, and conjugates family i's
+    microstates by it.  Matrix kind: slot (i, j) moves by eps times a GUE
+    draw, its spectrum reflected back into [-R, R].  Each chain draws from
+    its own generator in the order a lone chain would, its accept uniform
+    only when the energy rises, and keeps what moved only on acceptance."""
     N = config.N
     eps = np.array([chain.eps for chain in chains])
     scales = [N**2 * chain.config.beta for chain in chains]  # energy = scale * raw
@@ -206,10 +238,12 @@ def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> di
         if config.kind == "unitary-orbital":
             w, vecs = np.linalg.eigh(draws)
             phase = np.exp(1j * eps[:, None] * w)[:, None, :]
-            moved = ((vecs * phase) @ vecs.conj().swapaxes(-1, -2)) @ stack[slot]
+            v = ((vecs * phase) @ vecs.conj().swapaxes(-1, -2)) @ stack[slot]
+            moved = {slot: v, **_conjugates({slot: v}, config)}
         else:
-            moved = spectral_reflect(stack[slot] + eps[:, None, None] * draws, config.layout.R)
-        raws = energy(_batch({**stack, slot: moved}, config), config).tolist()
+            moved = {slot: spectral_reflect(stack[slot] + eps[:, None, None] * draws,
+                                            config.layout.R)}
+        raws = energy(_batch({**stack, **moved}, config), config).tolist()
         accept = []
         for chain, scale, raw in zip(chains, scales, raws):
             e_new = scale * raw
@@ -220,7 +254,11 @@ def _sweep(chains: Sequence[GibbsChain], stack: dict, config: GibbsConfig) -> di
                 chain.raw = raw
                 chain.accepted += 1
             accept.append(ok)
-        stack = {**stack, slot: np.where(np.array(accept)[:, None, None], moved, stack[slot])}
+        if all(accept):
+            stack = {**stack, **moved}
+        elif any(accept):
+            keep = np.array(accept)[:, None, None]
+            stack = {**stack, **{k: np.where(keep, a, stack[k]) for k, a in moved.items()}}
     return stack
 
 

@@ -79,10 +79,8 @@ class MatrixTuple:
         """Replace each family's matrices A_ij by V_i A_ij V_i*."""
         if len(unitaries) != self.layout.n:
             raise ValueError("need one unitary per family")
-        sa = {}
-        for (i, j), a in self.sa.items():
-            v = unitaries[i - 1]
-            sa[(i, j)] = v @ a @ v.conj().T
+        sa = {(i, j): _conjugate(unitaries[i - 1], a, _real_diagonal(a))
+              for (i, j), a in self.sa.items()}
         return MatrixTuple._unchecked(self.layout, self.N, sa, dict(self.unitaries))
 
     def with_unitaries(self, unitaries: dict[int, np.ndarray]) -> "MatrixTuple":
@@ -117,8 +115,7 @@ class MatrixTuple:
             if kind == "x" and i in self.unitaries:
                 # respect the relation x = u z u' whenever the tuple
                 # carries a unitary for the family
-                v = self.unitaries[i]
-                return v @ a @ v.conj().swapaxes(-1, -2)
+                return _conjugate(self.unitaries[i], a, _real_diagonal(a))
             return a
         try:
             v = self.unitaries[i]
@@ -156,14 +153,21 @@ class _Stack(MatrixTuple):
     matrix that every state shares or a stacked (size, N, N) array whose
     k-th matrix is state k's.  Letters, word products and traces then run
     on all the states at once (``_word_traces``), and ``_Scorer`` scores
-    them."""
+    them.  ``letters`` holds values the caller has already formed, such as
+    a Gibbs batch's carried V Xi V*, keyed by letter; ``lookup`` reads
+    them first."""
 
     @classmethod
     def of_slots(cls, layout: FamilyLayout, N: int, sa: dict, unitaries: dict,
-                 size: int) -> "_Stack":
+                 size: int, letters: dict | None = None) -> "_Stack":
         out = cls._unchecked(layout, N, sa, unitaries)
         out.size = size
+        out.letters = letters or {}
         return out
+
+    def lookup(self, letter) -> np.ndarray:
+        a = self.letters.get(letter)
+        return super().lookup(letter) if a is None else a
 
     def state(self, k: int) -> MatrixTuple:
         """State k alone, a tuple of (N, N) matrices."""
@@ -439,6 +443,41 @@ def _fold(x: np.ndarray, S: float) -> np.ndarray:
 # evaluation
 
 
+def _real_diagonal(a: np.ndarray) -> np.ndarray | None:
+    """The diagonal of a lone (N, N) matrix as a real vector when the matrix
+    is real diagonal, every off-diagonal entry and the imaginary part of
+    every diagonal entry exactly 0; None otherwise, and for a stack."""
+    if a.ndim != 2:
+        return None
+    d = np.diagonal(a)
+    if d.imag.any() or np.count_nonzero(a) != np.count_nonzero(d):
+        return None
+    return d.real
+
+
+def _product(a: np.ndarray, a_diagonal: np.ndarray | None,
+             b: np.ndarray, b_diagonal: np.ndarray | None) -> np.ndarray:
+    """a @ b, with a_diagonal and b_diagonal the real diagonals of a and b
+    where they are real diagonal matrices (``_real_diagonal``): a column
+    scaling of a or a row scaling of b in place of the matmul.  Each entry
+    is one rounded product, as in the matmul, whose other terms are zeros,
+    so the numbers are the same up to the sign of zero entries."""
+    if b_diagonal is not None:
+        return a * b_diagonal
+    if a_diagonal is not None:
+        return a_diagonal[:, None] * b
+    return a @ b
+
+
+def _conjugate(v: np.ndarray, a: np.ndarray, diagonal: np.ndarray | None) -> np.ndarray:
+    """V A V* for a lone or stacked V, with ``diagonal`` A's real diagonal
+    or None (``_real_diagonal``).  With it, V A is a column scaling
+    (``_product``), one matmul fewer, and the result is bitwise
+    V @ A @ V* up to the sign of zero entries, which never reaches a
+    trace (``_word_traces``)."""
+    return _product(v, None, a, diagonal) @ v.conj().swapaxes(-1, -2)
+
+
 def evaluate_word(w: Word, tup: MatrixTuple) -> np.ndarray:
     out = np.eye(tup.N, dtype=complex)
     for letter in w:
@@ -454,15 +493,21 @@ def _word_traces(tup: MatrixTuple, words: Iterable[Word]) -> dict[Word, tuple]:
 
     Each letter is looked up once and each left-to-right prefix product
     P[w] = P[w[:-1]] @ letter is formed once, starting from the first
-    letter itself.  ``evaluate_word`` starts from I @ letter, which differs
-    from the letter only in the sign of zero entries; that sign cannot
-    reach a trace, because products and sums of finite numbers carry it
-    only into zeros and a sum returns +0 for a zero total.  Python's
-    complex quotient of Tr by N is written out on the parts, so each value
-    is bitwise the trace computed from ``evaluate_word``, and on a stack
-    the one each state gives alone.  The matrices live for the call only.
+    letter itself.  A product with a letter that is a real diagonal matrix,
+    such as a quantile microstate read unconjugated, is a row or column
+    scaling (``_product``).  ``evaluate_word`` starts from I @ letter and
+    multiplies by matmuls; its products differ from the pass's only in the
+    sign of zero entries, and that sign cannot reach a trace, because
+    products and sums of finite numbers carry it only into zeros and a sum
+    returns +0 for a zero total.  The final trace stays one dense
+    elementwise sum of P[w[:-1]] transposed times the last letter.
+    Python's complex quotient of Tr by N is written out on the parts, so
+    each value is bitwise the trace computed from ``evaluate_word``, and on
+    a stack the one each state gives alone.  The matrices live for the
+    call only.
     """
     letters: dict = {}
+    diagonals: dict = {}  # per letter, its real diagonal or None
     prefixes: dict[Word, np.ndarray] = {}  # products of two or more letters
     N = tup.N
     out = {}
@@ -475,14 +520,16 @@ def _word_traces(tup: MatrixTuple, words: Iterable[Word]) -> dict[Word, tuple]:
         for letter in w:
             if letter not in letters:
                 letters[letter] = tup.lookup(letter)
+                diagonals[letter] = _real_diagonal(letters[letter])
         if len(w) == 1:
             s = np.trace(letters[w[0]], axis1=-2, axis2=-1)
         else:
-            head = letters[w[0]]
+            head, head_diagonal = letters[w[0]], diagonals[w[0]]
             for j in range(2, len(w)):
                 if w[:j] not in prefixes:
-                    prefixes[w[:j]] = head @ letters[w[j - 1]]
-                head = prefixes[w[:j]]
+                    prefixes[w[:j]] = _product(head, head_diagonal,
+                                               letters[w[j - 1]], diagonals[w[j - 1]])
+                head, head_diagonal = prefixes[w[:j]], None
             s = (head.swapaxes(-1, -2) * letters[w[-1]]).sum(axis=(-2, -1))
         out[w] = ((s.real + s.imag * 0.0) / N, (s.imag - s.real * 0.0) / N)
     return out

@@ -478,6 +478,36 @@ class TestResolution:
         assert code == 2
         assert err.startswith("validation error:") and key in err and "GiB bound" in err
 
+    @pytest.mark.parametrize("command, spec, key", [
+        ("pressure", {"gibbs": {"samples": 10**12}}, "'samples'"),
+        ("eta", {"gibbs": {"samples": 10**12}}, "'samples'"),
+        ("eta", {"basis_degree": 40}, "'basis_degree'"),
+        ("freeness", {"conjugations": 10**12}, "'conjugations'"),
+        ("property-suite", {"gibbs": {"samples": 10**12}}, "'samples'"),
+        ("relation-check", {"gibbs": {"samples": 10**12}}, "'samples'"),
+    ])
+    def test_oversized_sample_set_exits_2(self, tmp_path, capsys, command, spec, key):
+        # under --verify only: the run would hold 8 bytes per sample value
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, **spec}))
+        code, _ = run(tmp_path, command, p, "out", "--verify")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("validation error:") and key in err and "GiB bound" in err
+
+    @pytest.mark.parametrize("command, spec", [
+        ("pressure", {"gibbs": {"samples": 2**29}}),
+        ("pressure", {"gibbs": {"samples": 10**12, "method": "thermodynamic"}}),
+        ("freeness", {"conjugations": 2**29}),
+        ("gibbs", {"gibbs": {"samples": 10**12}}),
+    ])
+    def test_sample_bound_counts_only_what_is_held(self, tmp_path, command, spec):
+        # 2^29 values of 8 bytes are 4 GiB, the bound itself; a chain reads
+        # no 'samples'
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps({**BASE_SPEC, **spec}))
+        assert run(tmp_path, command, p, "out", "--verify")[0] == 0
+
     @pytest.mark.parametrize("N, code", [(16384, 0), (16385, 2)])
     def test_size_bound_is_inclusive(self, tmp_path, N, code):
         # one family at N = 2^14 holds 16 N^2 = 4 GiB, the bound itself

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from orbfree import gibbs
+from orbfree import gibbs, matrices
 from orbfree.gibbs import (
     GibbsConfig,
     energy,
@@ -193,6 +193,55 @@ class TestCarriedEnergy:
         assert 0 < chain.accepted < chain.proposed
         assert chain.energy == energy(chain.state, config)
         assert chain.energy == chain.energy_trace[-1][2]
+
+
+class TestCarriedConjugation:
+    LAYOUT21 = FamilyLayout(n=2, r=(2, 1), R=2.0)
+    H = "0.2*x[1,1]*x[2,1] + 0.2*x[2,1]*x[1,1] + 0.1*x[1,2]^2"
+
+    @pytest.fixture
+    def conjugations(self, monkeypatch):
+        calls = []
+        original = gibbs._conjugate
+
+        def counting(v, a, diagonal):
+            calls.append((a, diagonal is not None))
+            return original(v, a, diagonal)
+
+        monkeypatch.setattr(gibbs, "_conjugate", counting)
+        return calls
+
+    def test_each_slot_conjugated_once_per_move(self, conjugations, monkeypatch):
+        diagonals = []
+        original = gibbs._real_diagonal
+        monkeypatch.setattr(gibbs, "_real_diagonal", lambda a: diagonals.append(a) or original(a))
+
+        def lookup_conjugates(v, a, diagonal):
+            raise AssertionError("a batch reads its carried x letters, not V Xi V*")
+
+        monkeypatch.setattr(matrices, "_conjugate", lookup_conjugates)
+        semicircle = quantile_microstate(SpectralMeasure.semicircle(2.0), 3)
+        micro = MatrixTuple(self.LAYOUT21, 3, check_norm=False, sa={
+            (1, 1): semicircle, (1, 2): 0.5 * gue(3, np.random.default_rng(3)),
+            (2, 1): semicircle.copy()})
+        cfg = GibbsConfig("unitary-orbital", 3, parse(self.H, self.LAYOUT21),
+                          microstates=micro, sweeps=30, burn_in=10, seed=2)
+        chain = gibbs.run(cfg)
+        slots = {id(a): slot for slot, a in micro.sa.items()}
+        calls = [(slots[id(a)], diagonal) for a, diagonal in conjugations]
+        # every slot at the start; then, per sweep, family 1's proposal
+        # conjugates its two slots and family 2's its one
+        sweep = [((1, 1), True), ((1, 2), False), ((2, 1), True)]
+        assert calls == sweep * (cfg.sweeps + 1)
+        assert chain.proposed == 2 * cfg.sweeps
+        # diagonality is decided once per slot
+        assert [id(a) for a in diagonals] == [id(a) for a in micro.sa.values()]
+
+    def test_matrix_chains_conjugate_nothing(self, conjugations):
+        h = parse(self.H, self.LAYOUT21)
+        gibbs.run(GibbsConfig("matrix", 3, h, sweeps=20, burn_in=5, seed=2))
+        gibbs.log_partition(GibbsConfig("matrix", 2, h, sweeps=10, burn_in=5), beta_grid=3)
+        assert conjugations == []
 
 
 def same_state(a, b):

@@ -13,7 +13,10 @@ from orbfree.matrices import (
     MatrixTuple,
     SpectralMeasure,
     _brentq,
+    _conjugate,
     _fold,
+    _product,
+    _real_diagonal,
     _Scorer,
     _semicircle_cdf,
     _Stack,
@@ -496,6 +499,73 @@ def property_tuple(seed, N, kind, unitaries):
         elif unitaries == "real":
             us[i] = np.eye(N)[rng.permutation(N)] * rng.choice([-1.0, 1.0], N)
     return MatrixTuple(LAYOUT, N, sa=sa, unitaries=us)
+
+
+def zero_signs_dropped(a):
+    """The bytes of a with the sign of every zero part dropped."""
+    return (a + 0.0).tobytes()
+
+
+X_LETTERS = [letter_x(1, 1), letter_x(1, 2), letter_x(2, 1)]
+
+
+class TestConjugate:
+    """A real diagonal Xi is conjugated as (V * xi) V* and multiplied as a
+    row or column scaling; each gives the matmul's numbers, bit for bit up
+    to the sign of zero entries, and so bitwise the same traces."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3, 5, 8]),
+           st.sampled_from(["haar", "real"]), st.sampled_from([1, 3]),
+           st.lists(st.lists(st.sampled_from(X_LETTERS), min_size=1, max_size=5).map(tuple),
+                    min_size=1, max_size=8))
+    def test_diagonal_route_equals_dense_product(self, seed, N, unitaries, B, words):
+        tuples = [property_tuple(seed + k, N, "diagonal", unitaries) for k in range(B)]
+        tup = tuples[0]
+        for (i, j), a in tup.sa.items():
+            xi = _real_diagonal(a)
+            assert xi is not None and np.array_equal(np.diag(xi), a)
+            # a lone unitary, or a stack of B
+            v = tup.unitaries[i] if B == 1 else np.stack([t.unitaries[i] for t in tuples])
+            want = v @ a @ v.conj().swapaxes(-1, -2)
+            assert zero_signs_dropped(_conjugate(v, a, xi)) == zero_signs_dropped(want)
+            assert zero_signs_dropped(_product(v, None, a, xi)) == zero_signs_dropped(v @ a)
+            assert zero_signs_dropped(_product(a, xi, v, None)) == zero_signs_dropped(a @ v)
+        # x-word traces through the helper equal those on the tuple
+        # conjugated by dense products, bit for bit
+        sa = {}
+        for (i, j), a in tup.sa.items():
+            v = tup.unitaries[i]
+            sa[(i, j)] = v @ a @ v.conj().T
+        dense = MatrixTuple._unchecked(LAYOUT, N, sa, {})
+        assert ([bits(trace_word(w, tup)) for w in words]
+                == [bits(trace_word(w, dense)) for w in words])
+
+    @pytest.mark.parametrize("form", ["dense", "complex diagonal", "off-diagonal entry"])
+    def test_other_matrices_take_the_dense_route(self, form):
+        rng = np.random.default_rng(41)
+        N = 4
+        if form == "dense":
+            a = spectral_clip(gue(N, rng), LAYOUT.R)
+        elif form == "complex diagonal":
+            a = np.diag(rng.standard_normal(N) + 1j * rng.standard_normal(N))
+        else:
+            a = quantile_microstate(DIAGONAL_LAWS[1], N)
+            a[0, N - 1] = a[N - 1, 0] = 1e-300
+        assert _real_diagonal(a) is None
+        for v in (haar_unitary(N, rng), haar_unitary(N, rng, batch=(3,))):
+            want = v @ a @ v.conj().swapaxes(-1, -2)
+            tup = MatrixTuple._unchecked(LAYOUT, N, {(1, 1): a}, {1: v})
+            assert tup.lookup(letter_x(1, 1)).tobytes() == want.tobytes()
+        # a stack is never taken for a diagonal
+        assert _real_diagonal(np.stack([np.eye(N, dtype=complex)] * 2)) is None
+
+    def test_conjugated_reads_the_helper(self):
+        tup = property_tuple(42, 5, "diagonal", "haar")
+        conj = MatrixTuple._unchecked(LAYOUT, 5, dict(tup.sa), {}).conjugated(
+            [tup.unitaries[1], tup.unitaries[2]])
+        for i, j in tup.sa:
+            assert conj.sa[(i, j)].tobytes() == tup.lookup(letter_x(i, j)).tobytes()
 
 
 PASS_LETTERS = [letter_x(1, 1), letter_x(1, 2), letter_x(2, 1), letter_z(1, 1), letter_z(2, 1),
